@@ -13,6 +13,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -262,31 +263,20 @@ def _cmd_sieve_check(args) -> int:
     eps = cov.epsilon_prime / 2.0
     rng = random.Random(args.seed)
     ok = True
-    if args.trials == 1:
+    lines = ["trial,seed,lhs,rhs,rhs_exact,pair_sum,bound_holds,exact_bound_holds"]
+    for t in range(args.trials):
         C = rng.sample(range(1, x + 1), min(args.size, x))
         rep = discrepancy.variance_report(
             C, s, cutoff, eps, table, eps_prime=cov.epsilon_prime
         )
-        ok = rep.bound_holds and rep.exact_bound_holds and rep.pair_bound_holds
-        status = _emit(rep.modulus_csv_lines(), args.out)
-        if status:
-            return status
-    else:
-        lines = ["trial,seed,lhs,rhs,rhs_exact,pair_sum,bound_holds,exact_bound_holds"]
-        for t in range(args.trials):
-            C = rng.sample(range(1, x + 1), min(args.size, x))
-            rep = discrepancy.variance_report(
-                C, s, cutoff, eps, table, eps_prime=cov.epsilon_prime
-            )
-            ok = ok and rep.bound_holds and rep.exact_bound_holds and rep.pair_bound_holds
-            lines.append(
-                f"{t},{args.seed},{rep.lhs!r},{rep.rhs!r},{rep.rhs_exact!r},"
-                f"{rep.pair_sum},{rep.bound_holds},{rep.exact_bound_holds}"
-            )
-        status = _emit(lines, args.out)
-        if status:
-            return status
-    return 0 if ok else 1
+        ok = ok and rep.bound_holds and rep.exact_bound_holds and rep.pair_bound_holds
+        lines.append(
+            f"{t},{args.seed},{rep.lhs!r},{rep.rhs!r},{rep.rhs_exact!r},"
+            f"{rep.pair_sum},{rep.bound_holds},{rep.exact_bound_holds}"
+        )
+    if args.trials == 1:  # a single trial reports its per-modulus table instead
+        lines = rep.modulus_csv_lines()
+    return _emit(lines, args.out) or (0 if ok else 1)
 
 
 def _make_weights(kind, x, rng) -> smoothcount.WeightedSet:
@@ -326,22 +316,7 @@ def _cmd_theorem2(args) -> int:
             "weights": args.weights,
             "seed": args.seed,
         },
-        "report": {
-            "sigma": rep.sigma,
-            "sum1": rep.sum1,
-            "sum2": rep.sum2,
-            "lhs1": rep.lhs1,
-            "lhs2": rep.lhs2,
-            "hyp1_holds": rep.hyp1_holds,
-            "hyp2_holds": rep.hyp2_holds,
-            "smooth_total": rep.smooth_total,
-            "center": rep.center,
-            "bound": rep.bound,
-            "lower_bound": rep.lower_bound,
-            "tau": rep.tau,
-            "conclusion_holds": rep.conclusion_holds,
-            "lower_bound_holds": rep.lower_bound_holds,
-        },
+        "report": {k: v for k, v in dataclasses.asdict(rep).items() if k != "gamma"},
     }
     return _emit_json(doc, args.out)
 

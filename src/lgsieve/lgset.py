@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -50,13 +51,43 @@ class LGParams:
 
 
 class LGSet:
-    """Sorted member list with O(1) membership lookup."""
+    """Sorted member list with O(1) membership lookup and a lazily built
+    divisor map.  Members must be distinct integers in [2, x]."""
 
     def __init__(self, params: LGParams, members):
         self.params = params
         self.members = sorted(int(n) for n in members)
         self.member_set = frozenset(self.members)
-        self.prime_floor = floor_pow(params.x, params.delta)
+        if len(self.member_set) != len(self.members) or (
+            self.members and not 2 <= self.members[0] <= self.members[-1] <= params.x
+        ):
+            raise ValueError(f"members must be distinct integers in [2, {params.x}]")
+        self._divisors = None  # (div, disjoint), see multiples_disjoint
+
+    def multiples_disjoint(self) -> bool:
+        """True iff no m <= x has two member divisors (every pairwise lcm
+        exceeds x), that is, iff the m the members mark number exactly
+        sum floor(x/q).  Builds the divisor map on first use."""
+        if self._divisors is None:
+            x = self.params.x
+            div = np.zeros(x + 1, dtype=np.int32)
+            for q in self.members:
+                div[q::q] = q
+            div.flags.writeable = False  # shared by every reader and with_cutoff copy
+            multiples = sum(x // q for q in self.members)
+            self._divisors = (div, multiples == int(np.count_nonzero(div)))
+        return self._divisors[1]
+
+    def divisor_map(self) -> np.ndarray:
+        """div[m] = the unique member dividing m, or 0, for m = 0..x;
+        built once and cached.  Raises ValueError on a set that is not
+        LG, where no unique member is defined."""
+        if not self.multiples_disjoint():
+            raise ValueError(
+                f"set is not LG: some m <= {self.params.x} has two member "
+                "divisors (run `lgsieve verify` to list the pairs)"
+            )
+        return self._divisors[0]
 
     def __len__(self):
         return len(self.members)
@@ -132,31 +163,6 @@ def construct(params: LGParams, table: PrimeTable) -> LGSet:
     return LGSet(params, members)
 
 
-def _walk_divisor(m: int, x: int, pmin: int, spf: np.ndarray):
-    """Prefix walk over m's distinct primes > pmin in decreasing order.
-
-    Any member dividing m must consist of m's consecutive largest
-    primes, so walking prefixes until the terminal condition fires
-    finds the unique candidate.
-    """
-    pr = []
-    n = m
-    while n > 1:
-        p = int(spf[n])
-        if p > pmin:
-            pr.append(p)
-        while n % p == 0:
-            n //= p
-    prod = 1
-    for q in reversed(pr):  # descending
-        prod *= q
-        if prod > x:
-            return None
-        if q * prod > x:
-            return prod
-    return None
-
-
 def find_divisor(m: int, lgset: LGSet, table: PrimeTable, max_member: int | None = None):
     """The unique member of N dividing m, or None.
 
@@ -166,10 +172,8 @@ def find_divisor(m: int, lgset: LGSet, table: PrimeTable, max_member: int | None
     x = lgset.params.x
     if not 1 <= m <= x:
         raise ValueError(f"m={m} outside [1, {x}]")
-    d = _walk_divisor(m, x, lgset.prime_floor, table.smallest_factor)
-    if d is None or d not in lgset.member_set:
-        return None
-    if max_member is not None and d > max_member:
+    d = int(lgset.divisor_map()[m])
+    if d == 0 or (max_member is not None and d > max_member):
         return None
     return d
 
@@ -179,16 +183,18 @@ def verify_pairwise_lcm(lgset: LGSet) -> PairwiseLcmReport:
 
     Equivalent multiple-count formulation: a violating pair divides a
     common m <= x (namely its lcm), so it suffices to find integers
-    m <= x with two or more member divisors.
+    m <= x with two or more member divisors.  The divisor map decides
+    that; the pairs are listed only when it finds an overlap.
     """
     x = lgset.params.x
     members = lgset.members
     n = len(members)
     pair_count = n * (n - 1) // 2
+    if lgset.multiples_disjoint():
+        return PairwiseLcmReport(pair_count, [])
     counts = np.zeros(x + 1, dtype=np.int32)
     for q in members:
-        if q <= x:
-            counts[q::q] += 1
+        counts[q::q] += 1
     violations = []
     seen = set()
     for m in np.flatnonzero(counts >= 2):
@@ -203,8 +209,9 @@ def verify_pairwise_lcm(lgset: LGSet) -> PairwiseLcmReport:
 
 
 def coverage(lgset: LGSet, cutoff_exponent: float, table: PrimeTable) -> CoverageReport:
-    """Exhaustive scan of m = 1..x, classifying each by its unique
-    divisor among the members below x^cutoff."""
+    """Exhaustive count of the m = 1..x whose unique member divisor lies
+    below x^cutoff, read from the divisor map; ValueError on a set that
+    is not LG.  ``table`` is unused and kept for the call signature."""
     params = lgset.params
     x = params.x
     if not params.delta < cutoff_exponent <= 1:
@@ -213,14 +220,8 @@ def coverage(lgset: LGSet, cutoff_exponent: float, table: PrimeTable) -> Coverag
         )
     bound = largest_int_below_pow(x, cutoff_exponent)
     small = [q for q in lgset.members if q <= bound]
-    pmin = lgset.prime_floor
-    spf = table.smallest_factor
-    member_set = lgset.member_set
-    covered = 0
-    for m in range(1, x + 1):
-        d = _walk_divisor(m, x, pmin, spf)
-        if d is not None and d <= bound and d in member_set:
-            covered += 1
+    div = lgset.divisor_map()
+    covered = int(np.count_nonzero((div > 0) & (div <= bound)))
     harmonic = math.fsum(1.0 / q for q in small)
     report = CoverageReport(
         x=x,
@@ -233,8 +234,12 @@ def coverage(lgset: LGSet, cutoff_exponent: float, table: PrimeTable) -> Coverag
         members_below_cutoff=len(small),
     )
     # accounting invariants; a failure here is an implementation bug
-    assert report.covered_count + report.exceptional_count == x
-    assert abs(harmonic - covered / x) <= len(small) / x + 1.0 / x
+    if report.covered_count + report.exceptional_count != x:
+        raise RuntimeError(f"covered + exceptional != x = {x}")
+    if not abs(harmonic - covered / x) <= len(small) / x + 1.0 / x:
+        raise RuntimeError(
+            f"harmonic sum {harmonic!r} inconsistent with covered/x = {covered / x!r}"
+        )
     return report
 
 
@@ -245,14 +250,15 @@ def choose_cutoff(lgset: LGSet, epsilon: float) -> float:
         raise ValueError(f"epsilon out of (0,1): {epsilon}")
     params = lgset.params
     x = params.x
-    recips = [(q, 1.0 / q) for q in lgset.members]
+    members = lgset.members
+    recips = [1.0 / q for q in members]
     start = int(math.floor(params.delta * 100)) + 1
     for k in range(start, 101):
         c = k / 100.0
         if c <= params.delta:
             continue
         bound = largest_int_below_pow(x, c)
-        tail = math.fsum(r for q, r in recips if q > bound)
+        tail = math.fsum(recips[bisect_right(members, bound) :])
         if tail < epsilon / 2.0:
             return c
     return 1.0
@@ -264,7 +270,7 @@ def with_cutoff(lgset: LGSet, c: float) -> LGSet:
     out.params = replace(lgset.params, c=c)
     out.members = lgset.members
     out.member_set = lgset.member_set
-    out.prime_floor = lgset.prime_floor
+    out._divisors = lgset._divisors
     return out
 
 
@@ -280,7 +286,17 @@ def save_json(lgset: LGSet, path) -> None:
 
 
 def load_json(path) -> LGSet:
+    """Read a set written by save_json.  Raises ValueError unless x and
+    every member are JSON integers and delta and c are numbers; LGSet
+    checks the members are distinct and lie in [2, x]."""
     with open(path) as fh:
         doc = json.load(fh)
-    params = LGParams(x=doc["x"], delta=doc["delta"], c=doc["c"])
-    return LGSet(params, doc["members"])
+    if not isinstance(doc, dict) or not {"x", "delta", "c", "members"} <= doc.keys():
+        raise ValueError("set file needs the keys x, delta, c and members")
+    x, delta, c, members = doc["x"], doc["delta"], doc["c"], doc["members"]
+    # type() rather than isinstance(), which would accept true and false
+    if type(x) is not int or not {type(delta), type(c)} <= {int, float}:
+        raise ValueError(f"need an integer x and numbers delta, c; got {x!r}, {delta!r}, {c!r}")
+    if not isinstance(members, list) or not all(type(q) is int for q in members):
+        raise ValueError("members must be a list of integers")
+    return LGSet(LGParams(x=x, delta=delta, c=c), members)

@@ -1,9 +1,9 @@
 """Prime sieving, factorization, smoothness predicates and Psi(x, y).
 
-The smallest-prime-factor array is the backbone: factorizing every
-m <= x is the hot loop of the coverage scans, and the array makes each
-factorization O(log m).  Tables are immutable after construction and
-safe for concurrent reads.
+The smallest-prime-factor array is the backbone: it lists the primes
+that LG-set construction chains together and makes each factorization
+O(log m).  Tables are immutable after construction and safe for
+concurrent reads.
 """
 
 from __future__ import annotations

@@ -138,7 +138,8 @@ def sieve_report(
 ) -> SieveReport:
     """Implication tester for the smooth sieve: evaluates both
     hypotheses, the conclusion inequality, and the unconditional
-    sandwich lhs1 <= smooth_total <= sigma - tau."""
+    sandwich lhs1 <= smooth_total <= sigma - tau; raises ValueError
+    on a set that is not LG."""
     if not 0 < gamma < 1:
         raise ValueError(f"gamma out of (0,1): {gamma}")
     x = lgset.params.x
@@ -153,10 +154,10 @@ def sieve_report(
     smooth_sel = support[lpf[support] <= y]
     smooth_total = _exact_sum(weights.array[smooth_sel])
 
-    mask = np.zeros(x + 1, dtype=bool)
-    for q in part.n2:
-        mask[q::q] = True
-    tau_sel = support[mask[support]]
+    # tau: mass on m whose unique member divisor is in N2
+    is_n2 = np.zeros(x + 1, dtype=bool)
+    is_n2[part.n2] = True
+    tau_sel = support[is_n2[lgset.divisor_map()[support]]]
     tau = _exact_sum(weights.array[tau_sel])
 
     center = sigma * part.sum1

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 
@@ -53,6 +56,38 @@ def test_verify_detects_violation(tmp_path):
     doc = {"x": 100, "delta": 0.2, "c": 1.0, "members": [11, 55]}
     path.write_text(json.dumps(doc))
     assert run_cli("verify", "--set", str(path)) == 1
+
+
+_GOOD_SET = {"x": 100, "delta": 0.2, "c": 1.0, "members": [11, 13]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**_GOOD_SET, "members": [11, True]},  # bool
+        {**_GOOD_SET, "members": [11, 13.0]},  # float
+        {**_GOOD_SET, "members": [11, "13"]},  # string
+        {**_GOOD_SET, "members": [11, 13, 13]},  # duplicate
+        {**_GOOD_SET, "members": [11, -13]},  # negative
+        {**_GOOD_SET, "members": [1, 13]},  # below 2
+        {**_GOOD_SET, "members": [11, 101]},  # above x
+        {**_GOOD_SET, "members": 11},  # not a list
+        {**_GOOD_SET, "x": 100.0},  # float bound
+        {**_GOOD_SET, "delta": "0.2"},  # string exponent
+        {k: v for k, v in _GOOD_SET.items() if k != "c"},  # key missing
+    ],
+)
+def test_load_rejects_bad_set_file(tmp_path, doc):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("verify", "--set", str(path)) == 2
+
+
+def test_coverage_on_overlapping_set(tmp_path, capsys):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"x": 100, "delta": 0.2, "c": 1.0, "members": [11, 55]}))
+    assert run_cli("coverage", "--set", str(path)) == 2
+    assert "lgsieve verify" in capsys.readouterr().err
 
 
 def test_coverage_csv(tmp_path):
@@ -148,3 +183,52 @@ def test_table_limit_env(tmp_path, monkeypatch):
     assert run_cli(
         "verify", "--x", "100", "--delta", "0.2"
     ) == 2  # resource error surfaces as a usage-level failure
+
+
+_SET = ["--x", "10000", "--delta", "0.05"]
+_T3 = ["--theta", "0.5", "--gamma", "0.2"]
+_SIEVE = ["sieve-check", *_SET, "--size", "2000", "--seed", "3"]
+_WEIGHTS = ("uniform", "random-dense", "random-sparse", "indicator")
+
+# (argv, exit code, SHA-256 of the output file, or of stdout when argv
+# has no --out).  Refactors keep these outputs byte-identical; a change
+# here is a change of output and needs a reason.
+OUTPUT_HASHES = {
+    "build": (["build", *_SET, "--out", "{out}"], 0,
+              "93352c46fb70fe059938ccf9b1f088cf7cb54a677a9cb8aad127088d038d37a3"),
+    "verify": (["verify", *_SET], 0,
+               "2f91034a24bd8418cf1073fdc190d0b5a7cd7d1c329633bf7012944332b19311"),
+    "coverage": (["coverage", *_SET, "--out", "{out}"], 0,
+                 "cd484322d84289837500ddb4e9231cf5d876df19964b70db990fa83197dd256d"),
+    "sieve-check-1": ([*_SIEVE, "--out", "{out}"], 0,
+                      "9814692ed0c8c53bd234dea3dcabc90c7ad3d40e87e95851c75480af49e0116b"),
+    "sieve-check-3": ([*_SIEVE, "--trials", "3", "--out", "{out}"], 0,
+                      "23fb2d21568ab81f973faf4fad3d5e06a0c44bbc61b0b1cc2d2d2c40c79aa370"),
+    **{
+        f"theorem2-{w}": (
+            ["theorem2", *_SET, *_T3, "--weights", w, "--seed", "5", "--out", "{out}"], 0, h)
+        for w, h in zip(_WEIGHTS, (
+            "4ab46034a91bcba1b82f8d9effee8b5c5eaa20e10e4456f58f7d2632728b52c1",
+            "f042a3fa4dc2d7d00be10cfbf1462a1118af6d4dd87fde623dbab96425e84553",
+            "9f276b4b23be6e1e7e5691ded7fa6fd53b01ab78a12932ce64d2e4a0ff441b92",
+            "a8038269ae97a44d3416dd2eea1c070f92c5e6b3dfe03e3b27edb6e5e381dbbf",
+        ))
+    },
+    "sumset": (["sumset", *_SET, *_T3, "--size-a", "500", "--size-b", "500", "--seed", "7",
+                "--out", "{out}"], 0,
+               "c5762cffeb8040ad80fd61bb3e1bb809d92690bc0c51712d4f35484378dd1802"),
+    "sweep": (["sweep", *_SET, "--theta", "0.3:0.2:0.9", "--gamma", "0.2", "--size-a", "300",
+               "--size-b", "300", "--seed", "7", "--out", "{out}"], 0,
+              "26213a2e47c740873d961b97878bd39348754fd5de7ab7baa8200cb34e7a9207"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_HASHES))
+def test_output_bytes_unchanged(tmp_path, name):
+    argv, code, digest = OUTPUT_HASHES[name]
+    out = tmp_path / "out"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert run_cli(*(a.format(out=out) for a in argv)) == code
+    data = out.read_bytes() if "{out}" in argv else stdout.getvalue().encode()
+    assert hashlib.sha256(data).hexdigest() == digest

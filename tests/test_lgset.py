@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from lgsieve import (
     LGParams,
     LGSet,
+    WeightedSet,
     choose_cutoff,
     construct,
     coverage,
     factorize,
     find_divisor,
     load_json,
+    partition,
     save_json,
+    sieve_report,
     verify_pairwise_lcm,
     with_cutoff,
 )
@@ -50,6 +53,29 @@ def brute_force_members(x, delta, table):
         if ok:
             out.append(n)
     return out
+
+
+def walk_divisor(m, x, pmin, spf):
+    """Oracle: prefix walk over m's distinct primes > pmin in decreasing
+    order.  Any member dividing m must consist of m's consecutive
+    largest primes, so walking prefixes until the terminal condition
+    fires finds the unique candidate."""
+    pr = []
+    n = m
+    while n > 1:
+        p = int(spf[n])
+        if p > pmin:
+            pr.append(p)
+        while n % p == 0:
+            n //= p
+    prod = 1
+    for q in reversed(pr):  # descending
+        prod *= q
+        if prod > x:
+            return None
+        if q * prod > x:
+            return prod
+    return None
 
 
 def test_params_validation():
@@ -113,6 +139,26 @@ def test_find_divisor_against_full_scan(set100, table1k):
         assert find_divisor(m, set100, table1k) == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=3000),
+    st.floats(min_value=0.05, max_value=0.5, exclude_min=True, exclude_max=True),
+)
+def test_divisor_map_matches_walk_and_scan(table10k, x, delta):
+    s = construct(LGParams(x, delta), table10k)
+    divisors_of = [[] for _ in range(x + 1)]
+    for q in s.members:
+        for m in range(q, x + 1, q):
+            divisors_of[m].append(q)
+    div = s.divisor_map()
+    pmin = floor_pow(x, delta)
+    for m in range(1, x + 1):
+        assert len(divisors_of[m]) <= 1
+        expected = divisors_of[m][0] if divisors_of[m] else None
+        assert walk_divisor(m, x, pmin, table10k.smallest_factor) == expected
+        assert (int(div[m]) or None) == expected
+
+
 def test_pairwise_lcm_clean(set100):
     rep = verify_pairwise_lcm(set100)
     assert rep.ok
@@ -131,6 +177,32 @@ def test_pairwise_lcm_adversarial():
     rep = verify_pairwise_lcm(s)
     assert not rep.ok
     assert rep.violations == [(11, 55, 55)]
+
+
+def test_pairwise_lcm_three_way_overlap():
+    # 15 has three member divisors; the listing order is part of the output
+    s = LGSet(LGParams(100, 0.2), [3, 5, 15])
+    rep = verify_pairwise_lcm(s)
+    assert rep.pair_count == 3
+    assert rep.violations == [(3, 5, 15), (3, 15, 15), (5, 15, 15)]
+
+
+def test_overlapping_set_has_no_divisor_map(table1k):
+    s = with_cutoff(LGSet(LGParams(100, 0.2), [11, 55]), 1.0)
+    assert not s.multiples_disjoint()
+    with pytest.raises(ValueError, match="lgsieve verify"):
+        coverage(s, 1.0, table1k)
+    with pytest.raises(ValueError, match="not LG"):
+        find_divisor(55, s, table1k)
+    part = partition(s, 0.5, 1.0, table1k)
+    with pytest.raises(ValueError, match="not LG"):
+        sieve_report(WeightedSet(100, {55: 1.0}), part, s, 0.2, table1k)
+
+
+@pytest.mark.parametrize("members", [[1, 97], [11, 101], [11, 11]])
+def test_lgset_rejects_bad_members(members):
+    with pytest.raises(ValueError):
+        LGSet(LGParams(100, 0.2), members)
 
 
 def test_coverage_full_cutoff(set100, table1k):
