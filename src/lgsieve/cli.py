@@ -74,7 +74,7 @@ def _range_spec(value):
     return out
 
 
-def _add_set_source(p, require_delta=True):
+def _add_set_source(p):
     p.add_argument("--set", dest="set_path", help="load an LG set from JSON")
     p.add_argument("--x", type=_positive_int, help="global bound x")
     p.add_argument("--delta", type=_unit_open, help="prime floor exponent")
@@ -331,7 +331,7 @@ def _sample_sets(args, x_domain):
 def _sumset_setup(args):
     if getattr(args, "lg_at_2x", False):
         if args.set_path:
-            raise SystemExit("--lg-at-2x cannot be combined with --set")
+            raise ValueError("--lg-at-2x cannot be combined with --set")
         big = argparse.Namespace(**vars(args))
         big.x = 2 * args.x
         s, table = _load_or_build(big)

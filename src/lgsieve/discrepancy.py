@@ -55,17 +55,21 @@ class DiscrepancyReport:
         return lines
 
 
+def distinct_ints(values, hi: int | None = None, name: str = "elements") -> np.ndarray:
+    """The distinct integers among ``values``, ascending, as int64;
+    raises ValueError unless they lie in [1, hi] (hi None: no cap)."""
+    arr = np.asarray(sorted(set(int(v) for v in values)), dtype=np.int64)
+    if arr.size and (arr[0] < 1 or (hi is not None and arr[-1] > hi)):
+        span = "[1, inf)" if hi is None else f"[1, {hi}]"
+        raise ValueError(f"{name} must lie in {span}")
+    return arr
+
+
 def residue_histogram(elements, q: int) -> ResidueHistogram:
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-    arr = np.asarray(sorted(set(int(e) for e in elements)), dtype=np.int64)
-    if arr.size and arr[0] < 1:
-        raise ValueError(f"elements must be >= 1, got {arr[0]}")
-    if arr.size:
-        counts = np.bincount(arr % q, minlength=q)
-    else:
-        counts = np.zeros(q, dtype=np.int64)
-    return ResidueHistogram(q, counts, int(arr.size))
+    arr = distinct_ints(elements)
+    return ResidueHistogram(q, np.bincount(arr % q, minlength=q), int(arr.size))
 
 
 def variance_report(
@@ -86,9 +90,7 @@ def variance_report(
     x = params.x
     if not params.delta < cutoff_exponent <= 1:
         raise ValueError(f"cutoff {cutoff_exponent} outside ({params.delta}, 1]")
-    C = np.asarray(sorted(set(int(e) for e in elements)), dtype=np.int64)
-    if C.size and not (1 <= C[0] and C[-1] <= x):
-        raise ValueError(f"elements outside [1, {x}]")
+    C = distinct_ints(elements, x)
     size = int(C.size)
     bound = largest_int_below_pow(x, cutoff_exponent)
     xc = real_pow(x, cutoff_exponent)
@@ -99,7 +101,7 @@ def variance_report(
     sum_sq_total = 0
     pair_sum = 0
     for q in moduli:
-        h = np.bincount(C % q, minlength=q) if size else np.zeros(q, dtype=np.int64)
+        h = np.bincount(C % q, minlength=q)
         ssq = int(np.dot(h, h))
         sum_sq_total += ssq
         pair_sum += ssq - size

@@ -163,19 +163,13 @@ def construct(params: LGParams, table: PrimeTable) -> LGSet:
     return LGSet(params, members)
 
 
-def find_divisor(m: int, lgset: LGSet, table: PrimeTable, max_member: int | None = None):
-    """The unique member of N dividing m, or None.
-
-    ``max_member`` restricts the search to members <= max_member (used
-    for cutoff-limited coverage).
-    """
+def find_divisor(m: int, lgset: LGSet, table: PrimeTable):
+    """The unique member of N dividing m, or None."""
     x = lgset.params.x
     if not 1 <= m <= x:
         raise ValueError(f"m={m} outside [1, {x}]")
     d = int(lgset.divisor_map()[m])
-    if d == 0 or (max_member is not None and d > max_member):
-        return None
-    return d
+    return d or None
 
 
 def verify_pairwise_lcm(lgset: LGSet) -> PairwiseLcmReport:

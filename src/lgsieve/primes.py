@@ -8,6 +8,7 @@ concurrent reads.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -140,6 +141,8 @@ def write_spf_cache(table: PrimeTable, path) -> None:
 
 
 def read_spf_cache(path) -> PrimeTable:
+    """Load a cache written by ``write_spf_cache``; raises ValueError
+    unless entry n is the smallest prime factor of n for every n."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_SPF_MAGIC))
         if magic != _SPF_MAGIC:
@@ -149,6 +152,18 @@ def read_spf_cache(path) -> PrimeTable:
     spf = np.frombuffer(data, dtype="<i4").astype(np.int64)
     if spf.size != limit + 1:
         raise ValueError(f"cache truncated: {spf.size} entries for limit {limit}")
+    if limit < 2 or spf[0] != 0 or spf[1] != 0:
+        raise ValueError("corrupt cache: need limit >= 2 and entries 0 and 1 zero")
     idx = np.arange(limit + 1, dtype=np.int64)
+    n, p = idx[2:], spf[2:]
+    if not np.all((2 <= p) & (p <= n)):
+        raise ValueError("corrupt cache: need 2 <= spf[n] <= n")
+    if np.any(n % p) or np.any(spf[p] != p):
+        raise ValueError("corrupt cache: spf[n] must be a divisor of n that is its own spf")
+    # sieve pass: every multiple of p from p^2 on has spf <= p, so no
+    # composite keeps a larger prime divisor or poses as prime
+    for q in range(2, math.isqrt(limit) + 1):
+        if spf[q] == q and spf[q * q :: q].max() > q:
+            raise ValueError(f"corrupt cache: a multiple of {q} has a larger spf")
     primes = idx[(idx >= 2) & (spf == idx)]
     return PrimeTable(int(limit), spf, primes)

@@ -11,15 +11,16 @@ smooth mass lands within 2*gamma*sigma of sigma * sum1.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dickman
-from .discrepancy import variance_report
+from .discrepancy import distinct_ints, variance_report
 from .lgset import LGSet, coverage, largest_int_below_pow
 from .powers import real_pow
-from .primes import PrimeTable, largest_prime_factor
+from .primes import PrimeTable
 
 
 @dataclass
@@ -99,13 +100,13 @@ def partition(lgset: LGSet, theta: float, cutoff: float, table: PrimeTable) -> S
         raise ValueError(f"theta out of (delta, 1]: {theta}")
     if cutoff <= params.delta:
         raise ValueError(f"cutoff must exceed delta, got {cutoff}")
+    if table.limit < x:
+        raise ValueError(f"table limit {table.limit} < x = {x}")
     bound = largest_int_below_pow(x, cutoff)
-    y = real_pow(x, theta)
-    n1, n2 = [], []
-    for q in lgset.members:
-        if q > bound:
-            continue
-        (n1 if largest_prime_factor(q, table) <= y else n2).append(q)
+    members = lgset.members
+    small = np.asarray(members[: bisect_right(members, bound)], dtype=np.int64)
+    smooth = table.largest_factor_array()[small] <= real_pow(x, theta)
+    n1, n2 = small[smooth].tolist(), small[~smooth].tolist()
     return SmoothPartition(
         theta=theta,
         cutoff_exponent=cutoff,
@@ -190,25 +191,13 @@ def sieve_report(
     )
 
 
-def _counting_weights(x, sums) -> WeightedSet:
-    w = np.zeros(x + 1, dtype=np.int64)
-    if sums.size:
-        w += np.bincount(sums, minlength=x + 1)
-    return WeightedSet(x, w)
-
-
 def sumset_weights(A, B, x: int) -> WeightedSet:
     """w(n) = #{(a, b) in A x B : a + b = n}; sigma = |A| |B|.
 
     A and B must sit inside {1..floor(x/2)} so every sum lands in
     [2, x] and the sieve applies verbatim.
     """
-    Aa = np.asarray(sorted(set(int(a) for a in A)), dtype=np.int64)
-    Bb = np.asarray(sorted(set(int(b) for b in B)), dtype=np.int64)
-    half = x // 2
-    for name, arr in (("A", Aa), ("B", Bb)):
-        if arr.size and not (1 <= arr[0] and arr[-1] <= half):
-            raise ValueError(f"{name} must lie in [1, {half}]")
+    Aa, Bb = distinct_ints(A, x // 2, "A"), distinct_ints(B, x // 2, "B")
     w = np.zeros(x + 1, dtype=np.int64)
     if Aa.size and Bb.size:
         block = max(1, (1 << 22) // Bb.size)
@@ -220,32 +209,25 @@ def sumset_weights(A, B, x: int) -> WeightedSet:
 
 def difference_weights(A, x: int) -> WeightedSet:
     """w(n) = #{(a, a') in A^2 : a > a', a - a' = n}; sigma = C(|A|, 2)."""
-    Aa = np.asarray(sorted(set(int(a) for a in A)), dtype=np.int64)
-    if Aa.size and not (1 <= Aa[0] and Aa[-1] <= x):
-        raise ValueError(f"A must lie in [1, {x}]")
+    Aa = distinct_ints(A, x, "A")
     w = np.zeros(x + 1, dtype=np.int64)
     if Aa.size:
         block = max(1, (1 << 22) // Aa.size)
         for i in range(0, Aa.size, block):
             d = (Aa[i : i + block, None] - Aa[None, :]).ravel()
-            d = d[d > 0]
-            if d.size:
-                w += np.bincount(d, minlength=x + 1)
+            w += np.bincount(d[d > 0], minlength=x + 1)
     return WeightedSet(x, w)
 
 
 def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli) -> bool:
     """Check, in exact integer arithmetic, that for every modulus q the
-    weight mass on multiples of q equals sum_a A(a,q) * B((q-a) mod q, q)."""
-    Aa = np.asarray(sorted(set(int(a) for a in A)), dtype=np.int64)
-    Bb = np.asarray(sorted(set(int(b) for b in B)), dtype=np.int64)
+    weight mass on multiples of q equals hist(A mod q) . hist(-B mod q),
+    that is #{(a, b) : q | a + b}; the right side never reads the weights."""
+    Aa, Bb = distinct_ints(A, name="A"), distinct_ints(B, name="B")
     arr = weights.array
     for q in moduli:
-        hA = np.bincount(Aa % q, minlength=q)
-        hB = np.bincount(Bb % q, minlength=q)
-        rhs = int(np.dot(hA, hB[(q - np.arange(q)) % q]))
-        lhs = int(arr[q::q].sum())
-        if lhs != rhs:
+        pairs = int(np.bincount(Aa % q, minlength=q) @ np.bincount(-Bb % q, minlength=q))
+        if int(arr[q::q].sum()) != pairs:
             return False
     return True
 
@@ -277,8 +259,7 @@ def theorem3_experiment(
     eps_working = cov.epsilon_prime / 2.0 if epsilon is None else epsilon
     rep = sieve_report(ws, part, lgset, gamma, table)
 
-    Aa = np.asarray(sorted(set(int(a) for a in A)), dtype=np.int64)
-    Bb = np.asarray(sorted(set(int(b) for b in B)), dtype=np.int64)
+    Aa, Bb = distinct_ints(A, name="A"), distinct_ints(B, name="B")
     size_a, size_b = int(Aa.size), int(Bb.size)
 
     # direct pair count, independent of the weight machinery
@@ -301,7 +282,7 @@ def theorem3_experiment(
     cross_term = math.sqrt(max(var_a.lhs, 0.0) * max(var_b.lhs, 0.0))
 
     warnings = []
-    xc = real_pow(x, cutoff)
+    xc = var_a.xc
     size_floor = xc / eps_working if eps_working > 0 else math.inf
     size_condition_ok = size_a > size_floor and size_b > size_floor
     if not size_condition_ok:

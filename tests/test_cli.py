@@ -90,6 +90,17 @@ def test_coverage_on_overlapping_set(tmp_path, capsys):
     assert "lgsieve verify" in capsys.readouterr().err
 
 
+def test_sumset_lg_at_2x_with_set_file(tmp_path, capsys):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(_GOOD_SET))
+    code = run_cli(
+        "sumset", "--set", str(path), "--lg-at-2x", "--theta", "0.5",
+        "--gamma", "0.2", "--size-a", "3", "--size-b", "3",
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("lgsieve: --lg-at-2x")
+
+
 def test_coverage_csv(tmp_path):
     out = tmp_path / "cov.csv"
     assert run_cli(

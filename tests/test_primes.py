@@ -188,3 +188,25 @@ def test_spf_cache_bad_magic(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\0" * 32)
     with pytest.raises(ValueError):
         read_spf_cache(path)
+
+
+@pytest.mark.parametrize(
+    "n, value",
+    [
+        (91, 13),  # a prime divisor, but not the smallest
+        (91, 91),  # a composite posing as prime
+        (98, 14),  # a divisor that is not prime
+        (97, 7),  # not a divisor
+        (91, 1),  # below 2
+        (1, 1),  # entry 1 must be 0
+        (0, 2),  # entry 0 must be 0
+    ],
+)
+def test_spf_cache_rejects_corrupt_entry(tmp_path, table1k, n, value):
+    path = tmp_path / "spf.bin"
+    write_spf_cache(table1k, path)
+    raw = bytearray(path.read_bytes())
+    raw[14 + 4 * n : 18 + 4 * n] = value.to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="corrupt cache"):
+        read_spf_cache(path)

@@ -21,7 +21,8 @@ from lgsieve import (
     theorem3_experiment,
     with_cutoff,
 )
-from lgsieve.powers import real_pow
+from lgsieve.powers import largest_int_below_pow, real_pow
+from lgsieve.primes import build_prime_table, largest_prime_factor
 from lgsieve.smoothcount import residue_convolution_identity_ok
 
 
@@ -44,8 +45,6 @@ def test_partition_theta_too_small(set100, table1k):
 
 
 def test_partition_completeness(set10k, table10k):
-    from lgsieve.powers import largest_int_below_pow
-
     for cutoff in (1.0, 0.8):
         part = partition(set10k, 0.5, cutoff, table10k)
         cov = coverage(set10k, cutoff, table10k)
@@ -54,6 +53,42 @@ def test_partition_completeness(set10k, table10k):
         assert sorted(part.n1 + part.n2) == below
         assert set(part.n1).isdisjoint(part.n2)
         assert part.sum1 + part.sum2 == pytest.approx(cov.harmonic_sum, abs=1e-12)
+
+
+def _split_by_factorizing(lgset, theta, cutoff, table):
+    """Oracle: factorize each member below the cutoff on its own."""
+    x = lgset.params.x
+    bound = largest_int_below_pow(x, cutoff)
+    y = real_pow(x, theta)
+    small = [q for q in lgset.members if q <= bound]
+    n1 = [q for q in small if largest_prime_factor(q, table) <= y]
+    n2 = [q for q in small if largest_prime_factor(q, table) > y]
+    return n1, n2
+
+
+@pytest.mark.parametrize(
+    "x, delta, theta, cutoff",
+    [
+        (100, 0.2, 0.6, 1.0),
+        (100, 0.2, 1.0, 1.0),
+        (97**2, 0.1, 0.5, 1.0),  # x^theta = 97 is the lpf of 21 members
+        (3000, 0.1, 0.3, 0.7),
+        (10**4, 0.1, 0.5, 0.8),
+        (10**4, 0.1, 1.0, 0.6),
+        (10**4, 0.05, 0.25, 1.0),
+    ],
+)
+def test_partition_matches_factorizing_oracle(table10k, x, delta, theta, cutoff):
+    s = construct(LGParams(x, delta), table10k)  # table10k is larger than x < 10^4
+    part = partition(s, theta, cutoff, table10k)
+    assert (part.n1, part.n2) == _split_by_factorizing(s, theta, cutoff, table10k)
+    assert part.sum1 == math.fsum(1.0 / q for q in part.n1)
+    assert part.sum2 == math.fsum(1.0 / q for q in part.n2)
+
+
+def test_partition_table_too_small(set10k):
+    with pytest.raises(ValueError):
+        partition(set10k, 0.5, 1.0, build_prime_table(5000))
 
 
 @pytest.mark.parametrize("theta", [0.4, 0.6])
@@ -154,6 +189,26 @@ def test_residue_convolution_identity(A, B):
             rhs += ca * cb
         assert lhs == rhs
     assert residue_convolution_identity_ok(ws, Aa, Bb, range(1, 51))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_residue_convolution_identity_detects_moved_weight(seed):
+    """The check is not vacuous: moving one unit of weight off a
+    multiple n of a modulus q to n + 1 makes it fail."""
+    rng = random.Random(seed)
+    x = 1000
+    A, B = rng.sample(range(1, 501), 40), rng.sample(range(1, 501), 40)
+    ws = sumset_weights(A, B, x)
+    moduli = range(1, 101)
+    assert residue_convolution_identity_ok(ws, A, B, moduli)
+    q = rng.randrange(2, 101)
+    n = next(int(m) for m in ws.support if m % q == 0 and m < x)
+    arr = ws.array.copy()
+    arr[n] -= 1
+    arr[n + 1] += 1
+    moved = WeightedSet(x, arr)
+    assert moved.sigma == ws.sigma
+    assert not residue_convolution_identity_ok(moved, A, B, moduli)
 
 
 def test_difference_hand_example():
