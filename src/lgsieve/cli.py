@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import random
 import sys
@@ -160,8 +159,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     if args.command != "dickman" and not args.set_path:
         if args.x is None or args.delta is None:
             parser.error(f"{args.command}: need --set or both --x and --delta")
-        if args.c is not None and args.c <= args.delta:
-            parser.error(f"--c must exceed --delta, got c={args.c} delta={args.delta}")
     return args
 
 
@@ -172,12 +169,13 @@ def _load_or_build(args):
             s = lg.with_cutoff(s, args.c)
         table = build_prime_table(s.params.x, ceiling=_table_ceiling())
         return s, table
-    x = args.x
-    table = build_prime_table(x, ceiling=_table_ceiling())
-    params = lg.LGParams(x=x, delta=args.delta, c=1.0, epsilon_target=args.epsilon)
+    # LGParams checks delta < c before the table is built
+    params = lg.LGParams(args.x, args.delta, args.c or 1.0, epsilon_target=args.epsilon)
+    table = build_prime_table(args.x, ceiling=_table_ceiling())
     s = lg.construct(params, table)
-    c = args.c if args.c is not None else lg.choose_cutoff(s, args.epsilon)
-    return lg.with_cutoff(s, c), table
+    if args.c is None:
+        s = lg.with_cutoff(s, lg.choose_cutoff(s, args.epsilon))
+    return s, table
 
 
 def _emit(lines, out_path) -> int:
@@ -227,12 +225,6 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_dickman(args) -> int:
-    if args.step <= 0 or args.step >= 1:
-        print("lgsieve: --step must be in (0,1)", file=sys.stderr)
-        return 2
-    if args.max_u < 1:
-        print("lgsieve: --max-u must be >= 1", file=sys.stderr)
-        return 2
     table = dickman.build_dickman_table(step=args.step, max_u=args.max_u)
     sorted_lpf = None
     x = args.x
@@ -299,12 +291,8 @@ def _make_weights(kind, x, rng) -> smoothcount.WeightedSet:
 
 def _cmd_theorem2(args) -> int:
     s, table = _load_or_build(args)
-    if args.theta <= s.params.delta:
-        print("lgsieve: --theta must exceed delta", file=sys.stderr)
-        return 2
-    rng = random.Random(args.seed)
-    ws = _make_weights(args.weights, s.params.x, rng)
     part = smoothcount.partition(s, args.theta, s.params.c, table)
+    ws = _make_weights(args.weights, s.params.x, random.Random(args.seed))
     rep = smoothcount.sieve_report(ws, part, s, args.gamma, table)
     doc = {
         "params": {
@@ -344,36 +332,32 @@ def _sumset_setup(args):
 
 def _cmd_sumset(args) -> int:
     s, table, A, B = _sumset_setup(args)
-    if args.theta <= s.params.delta:
-        print("lgsieve: --theta must exceed delta", file=sys.stderr)
-        return 2
     doc = smoothcount.theorem3_experiment(A, B, s, args.theta, args.gamma, table)
     doc["params"]["seed"] = args.seed
     return _emit_json(doc, args.out)
 
 
 def _cmd_sweep(args) -> int:
+    """One row per theta in (delta, 1]; grid points outside are skipped.
+    The weights are built once; each theta costs a partition, a sieve
+    report and one rho lookup."""
     s, table, A, B = _sumset_setup(args)
+    p = s.params
+    ws = smoothcount.sumset_weights(A, B, p.x)
     dt = dickman.build_dickman_table(max_u=max(10.0, 1.0 / min(args.theta) + 1))
     lines = [SWEEP_CSV_HEADER]
     for theta in args.theta:
-        if not s.params.delta < theta <= 1:
+        if not p.delta < theta <= 1:
             continue
-        doc = smoothcount.theorem3_experiment(
-            A, B, s, theta, args.gamma, table,
-            dickman_table=dt, check_residue_identity=False,
-        )
-        p = doc["params"]
-        d = doc["direct"]
-        h = doc["hypotheses"]
-        sigma_sum1 = doc["sums"]["sigma"] * doc["sums"]["sum1"]
-        deviation = d["smooth_count"] - sigma_sum1
+        part = smoothcount.partition(s, theta, p.c, table)
+        rep = smoothcount.sieve_report(ws, part, s, args.gamma, table)
+        smooth_count = int(rep.smooth_total)
         lines.append(
-            f"{p['x']},{p['delta']!r},{p['c']!r},{theta!r},{args.gamma!r},"
-            f"{p['size_a']},{p['size_b']},{args.seed},{d['smooth_count']},"
-            f"{sigma_sum1!r},{d['rho_theta']!r},{deviation!r},"
-            f"{h['hyp1_holds']},{h['hyp2_holds']},"
-            f"{doc['verdicts']['conclusion_holds']}"
+            f"{p.x},{p.delta!r},{p.c!r},{theta!r},{args.gamma!r},"
+            f"{len(A)},{len(B)},{args.seed},{smooth_count},"
+            f"{rep.center!r},{dickman.rho(1.0 / theta, dt)!r},"
+            f"{smooth_count - rep.center!r},"
+            f"{rep.hyp1_holds},{rep.hyp2_holds},{rep.conclusion_holds}"
         )
     return _emit(lines, args.out)
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lgset import LGSet, coverage, largest_int_below_pow
+# largest_int_below_pow is unused here; perfbench/tests asserts this binding
+from .lgset import LGSet, coverage, largest_int_below_pow  # noqa: F401
 from .powers import real_pow
 from .primes import PrimeTable
 
@@ -84,17 +85,14 @@ def variance_report(
     caller-supplied-epsilon bound and the sharper measured-eps' bound.
 
     eps' comes from a coverage scan at the same cutoff unless the
-    caller passes a precomputed value.
+    caller passes a precomputed value; ``table`` is passed through to
+    coverage, which does not read it.
     """
-    params = lgset.params
-    x = params.x
-    if not params.delta < cutoff_exponent <= 1:
-        raise ValueError(f"cutoff {cutoff_exponent} outside ({params.delta}, 1]")
+    x = lgset.params.x
+    moduli = lgset.members[: lgset.count_below(cutoff_exponent)]
     C = distinct_ints(elements, x)
     size = int(C.size)
-    bound = largest_int_below_pow(x, cutoff_exponent)
     xc = real_pow(x, cutoff_exponent)
-    moduli = [q for q in lgset.members if q <= bound]
 
     per_modulus = []
     contribs = []
@@ -115,8 +113,6 @@ def variance_report(
     identity_rel_err = abs(lhs - lhs_alt) / scale
 
     if eps_prime is None:
-        if table is None:
-            raise ValueError("need a PrimeTable to measure eps' via coverage")
         eps_prime = coverage(lgset, cutoff_exponent, table).epsilon_prime
 
     rhs = size * (2.0 * epsilon * size + xc)

@@ -89,6 +89,14 @@ class LGSet:
             )
         return self._divisors[0]
 
+    def count_below(self, c: float) -> int:
+        """Number k of members below x^c, for delta < c <= 1 (ValueError
+        otherwise); members[:k] are the moduli of cutoff exponent c."""
+        p = self.params
+        if not p.delta < c <= 1:
+            raise ValueError(f"cutoff {c} outside ({p.delta}, 1]")
+        return bisect_right(self.members, largest_int_below_pow(p.x, c))
+
     def __len__(self):
         return len(self.members)
 
@@ -208,14 +216,10 @@ def coverage(lgset: LGSet, cutoff_exponent: float, table: PrimeTable) -> Coverag
     is not LG.  ``table`` is unused and kept for the call signature."""
     params = lgset.params
     x = params.x
-    if not params.delta < cutoff_exponent <= 1:
-        raise ValueError(
-            f"cutoff {cutoff_exponent} outside ({params.delta}, 1]"
-        )
-    bound = largest_int_below_pow(x, cutoff_exponent)
-    small = [q for q in lgset.members if q <= bound]
+    small = lgset.members[: lgset.count_below(cutoff_exponent)]
+    top = small[-1] if small else 0  # div holds only members, so this bounds it
     div = lgset.divisor_map()
-    covered = int(np.count_nonzero((div > 0) & (div <= bound)))
+    covered = int(np.count_nonzero((div > 0) & (div <= top)))
     harmonic = math.fsum(1.0 / q for q in small)
     report = CoverageReport(
         x=x,
@@ -242,17 +246,13 @@ def choose_cutoff(lgset: LGSet, epsilon: float) -> float:
     sum over members >= x^c stays below epsilon/2."""
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon out of (0,1): {epsilon}")
-    params = lgset.params
-    x = params.x
-    members = lgset.members
-    recips = [1.0 / q for q in members]
-    start = int(math.floor(params.delta * 100)) + 1
-    for k in range(start, 101):
+    delta = lgset.params.delta
+    recips = [1.0 / q for q in lgset.members]
+    for k in range(int(math.floor(delta * 100)) + 1, 101):
         c = k / 100.0
-        if c <= params.delta:
+        if c <= delta:
             continue
-        bound = largest_int_below_pow(x, c)
-        tail = math.fsum(recips[bisect_right(members, bound) :])
+        tail = math.fsum(recips[lgset.count_below(c) :])
         if tail < epsilon / 2.0:
             return c
     return 1.0

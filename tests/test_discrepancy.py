@@ -58,9 +58,13 @@ def test_variance_report_elements_out_of_range(set100, table1k):
         variance_report([5, 101], set100, 1.0, 0.2, table1k)
 
 
-def test_variance_report_needs_eps_source(set100):
-    with pytest.raises(ValueError):
-        variance_report([1, 2, 3], set100, 1.0, 0.2)
+def test_variance_report_without_table(set10k, table10k):
+    # eps' is measured by coverage, which needs no prime table
+    C = random.Random(4).sample(range(1, 10**4 + 1), 500)
+    for cutoff in (1.0, 0.8):
+        eps_prime = coverage(set10k, cutoff, table10k).epsilon_prime
+        given_eps = variance_report(C, set10k, cutoff, 0.1, table10k, eps_prime=eps_prime)
+        assert variance_report(C, set10k, cutoff, 0.1) == given_eps
 
 
 def test_random_trials_10k(set10k, table10k):

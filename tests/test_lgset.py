@@ -18,6 +18,7 @@ from lgsieve import (
     partition,
     save_json,
     sieve_report,
+    variance_report,
     verify_pairwise_lcm,
     with_cutoff,
 )
@@ -234,6 +235,47 @@ def test_coverage_cutoff_out_of_range(set100, table1k):
         coverage(set100, 0.2, table1k)
     with pytest.raises(ValueError):
         coverage(set100, 1.1, table1k)
+
+
+def _count_below_oracle(s, k):
+    """#{q in N : q < x^(k/100)}, decided as q^100 < x^k in integers."""
+    xk = s.params.x**k
+    return sum(1 for q in s.members if q**100 < xk)
+
+
+@pytest.mark.parametrize(
+    "x, delta, members",
+    [
+        (9973, 0.1, None),  # x is prime, hence a member
+        (10**4, 0.05, None),
+        (3000, 0.2, None),
+        # x^c is an integer at c = 0.25, 0.5, 0.75 and 1.0
+        (10**4, 0.1, [9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10**4]),
+    ],
+)
+def test_count_below_matches_exact_oracle(table10k, x, delta, members):
+    params = LGParams(x, delta)
+    s = construct(params, table10k) if members is None else LGSet(params, members)
+    for k in range(1, 101):
+        if k / 100 > delta:
+            assert s.count_below(k / 100) == _count_below_oracle(s, k), k
+    if members is None:
+        assert (x in s) == (x == 9973)  # c = 1.0 must exclude a member x
+    else:
+        assert [s.count_below(c) for c in (0.25, 0.5, 0.75, 1.0)] == [1, 4, 7, 10]
+
+
+@pytest.mark.parametrize("cutoff", [0.2, 1.5])  # set100 has delta = 0.2
+def test_cutoff_range_checked_by_every_reader(set100, table1k, cutoff):
+    calls = [
+        lambda: set100.count_below(cutoff),
+        lambda: coverage(set100, cutoff, table1k),
+        lambda: partition(set100, 0.6, cutoff, table1k),
+        lambda: variance_report(range(1, 51), set100, cutoff, 0.2, table1k),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="outside"):
+            call()
 
 
 def test_choose_cutoff_monotone(set10k):

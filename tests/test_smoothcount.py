@@ -23,6 +23,7 @@ from lgsieve import (
 )
 from lgsieve.powers import largest_int_below_pow, real_pow
 from lgsieve.primes import build_prime_table, largest_prime_factor
+from lgsieve import smoothcount
 from lgsieve.smoothcount import residue_convolution_identity_ok
 
 
@@ -286,3 +287,29 @@ def test_theorem3_theta_one(table10k):
     doc = theorem3_experiment(A, B, s, 1.0, 0.2, table10k)
     assert doc["direct"]["smooth_count"] == 300 * 300
     assert doc["residue_identity_ok"]
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_theorem3_smooth_count_brute_force(set10k, table10k, seed, theta):
+    """The smooth-sum count sieve_report owns, checked pair by pair."""
+    x = 10**4
+    s = with_cutoff(set10k, 0.9)
+    rng = random.Random(seed)
+    A = rng.sample(range(1, x // 2 + 1), 60)
+    B = rng.sample(range(1, x // 2 + 1), 70)
+    doc = theorem3_experiment(A, B, s, theta, 0.2, table10k)
+    y = real_pow(x, theta)
+    brute = sum(1 for a in A for b in B if is_smooth(a + b, y, table10k))
+    assert doc["direct"]["smooth_count"] == brute
+    assert doc["residue_identity_ok"]
+
+
+def test_theorem3_bad_theta_fails_before_weights(set10k, table10k, monkeypatch):
+    def no_weights(*args):
+        raise AssertionError("sumset_weights ran before the theta check")
+
+    monkeypatch.setattr(smoothcount, "sumset_weights", no_weights)
+    for theta in (0.1, 1.5):  # set10k has delta = 0.1
+        with pytest.raises(ValueError, match="theta"):
+            theorem3_experiment([1, 2], [3], set10k, theta, 0.2, table10k)
