@@ -5,12 +5,7 @@ residue-class discrepancy bounds, and smooth-sum counting experiments.
 """
 
 from .dickman import DickmanTable, build_dickman_table, empirical_rho, rho
-from .discrepancy import (
-    DiscrepancyReport,
-    ResidueHistogram,
-    residue_histogram,
-    variance_report,
-)
+from .discrepancy import DiscrepancyReport, variance_report
 from .lgset import (
     CoverageReport,
     LGParams,

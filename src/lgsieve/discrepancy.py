@@ -1,11 +1,20 @@
-"""Residue-class discrepancy over the moduli of an LG set.
+"""Pair counts and the residue-variance report over the moduli of an LG set.
 
 The elementary large-sieve-type inequality: summed over members
 q < x^c, the variance of a test set C around perfect equidistribution
-mod q is below |C| (2 eps |C| + x^c).  The unconditional engine is the
-pair count sum_q sum_a C(a,q)(C(a,q) - 1) <= |C|(|C| - 1), which holds
-because a difference b - c of two test elements has at most one member
-divisor.
+mod q is below |C| (2 eps |C| + x^c).  Each variance term comes from
+one pair count,
+
+    sum_a C(a, q)^2 = |C| + 2 #{c > c' in C : q | c - c'},
+
+so one difference count D[d] = #{c > c' : c - c' = d} serves every
+modulus: q's term is |C| + 2 (D[q] + D[2q] + ...).  Summed over the
+moduli this gives the unconditional bound
+sum_q sum_a C(a,q)(C(a,q) - 1) <= |C|(|C| - 1), which holds because a
+difference c - c' of two test elements has at most one member divisor.
+
+``_pair_counts`` owns every pair count (sums and differences): a
+float64 FFT product, rounded to integers and certified before use.
 """
 
 from __future__ import annotations
@@ -21,13 +30,6 @@ from .powers import real_pow
 from .primes import PrimeTable
 
 MODULUS_CSV_HEADER = "q,sum_sq,contribution"
-
-
-@dataclass(frozen=True)
-class ResidueHistogram:
-    modulus: int
-    counts: np.ndarray  # counts[a] = #elements congruent to a (mod q)
-    total: int
 
 
 @dataclass
@@ -66,11 +68,74 @@ def distinct_ints(values, hi: int | None = None, name: str = "elements") -> np.n
     return arr
 
 
-def residue_histogram(elements, q: int) -> ResidueHistogram:
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
-    arr = distinct_ints(elements)
-    return ResidueHistogram(q, np.bincount(arr % q, minlength=q), int(arr.size))
+def _fft_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n (n >= 1)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _pair_counts(A: np.ndarray, B: np.ndarray | None, x: int) -> np.ndarray:
+    """Exact pair counts of distinct ints in [1, x], as int64 w[0..x].
+
+    With B given, w[n] = #{(a, b) : a + b = n}, which needs a + b <= x
+    (ValueError otherwise).  With B None, w[d] = #{(a, a') : a - a' = d},
+    so w[0] = |A| and w[d] for d >= 1 counts the pairs a > a'.
+
+    The counts are a float64 FFT product rounded to integers, on the
+    least 5-smooth length that holds the result without wrap-around.
+    For a radix-2 transform of length 2^n Percival (Rapid multiplication
+    modulo the sum and difference of highly composite numbers, Math.
+    Comp. 72, 2003) bounds the error of a cyclic convolution by
+    ||u|| ||v|| ((1 + e)^(3n) (1 + e sqrt(5))^(3n + 1) (1 + b)^(3n) - 1),
+    with e = 2^-53 and b <= e the error of the roots of unity.  For 0/1
+    indicators ||u|| ||v|| = sqrt(|A||B|) <= x, so at x = 10^7 (n = 25)
+    the error is below 4e-7, far inside the 1/2 that rounding needs.
+    numpy's mixed-radix lengths lie outside the letter of that theorem,
+    so the result is also certified: the largest |r - rint(r)| must be
+    below 1/4 and sum(w) must be |A||B| (|A| + C(|A|, 2) with B None),
+    else RuntimeError.
+    """
+    n_a = int(A.size)
+    if B is None:
+        m = _fft_length(2 * x)
+        total = n_a + n_a * (n_a - 1) // 2
+    else:
+        if n_a and B.size and int(A[-1]) + int(B[-1]) > x:
+            raise ValueError(f"sums exceed x = {x}")
+        m = _fft_length(x + 1)
+        total = n_a * int(B.size)
+    # each buffer is dropped before the next is made: this bounds the peak RSS
+    u = np.zeros(m)
+    u[A] = 1.0
+    spec = np.fft.rfft(u)
+    del u
+    if B is None:
+        spec *= spec.conj()
+    else:
+        v = np.zeros(m)
+        v[B] = 1.0
+        spec *= np.fft.rfft(v)
+        del v
+    r = np.fft.irfft(spec, m)[: x + 1]
+    del spec
+    w = np.rint(r)
+    r -= w
+    residual = float(np.abs(r, out=r).max())
+    del r
+    w = w.astype(np.int64)
+    if not residual < 0.25:
+        raise RuntimeError(f"FFT pair counts not certified: residual {residual!r} >= 1/4")
+    pairs = int(w.sum())
+    if pairs != total:
+        raise RuntimeError(f"FFT pair counts not certified: total {pairs} != {total}")
+    return w
 
 
 def variance_report(
@@ -84,6 +149,11 @@ def variance_report(
     """Residue-variance sum over members below x^cutoff, with both the
     caller-supplied-epsilon bound and the sharper measured-eps' bound.
 
+    Each modulus q takes sum_a C(a, q)^2 = |C| + 2 (D[q] + D[2q] + ...)
+    from one certified difference count D of C (``_pair_counts``), so
+    the cost is one FFT plus x/q per modulus, not one residue histogram
+    per modulus.  The identity holds for any moduli, LG or not.
+
     eps' comes from a coverage scan at the same cutoff unless the
     caller passes a precomputed value; ``table`` is passed through to
     coverage, which does not read it.
@@ -93,14 +163,14 @@ def variance_report(
     C = distinct_ints(elements, x)
     size = int(C.size)
     xc = real_pow(x, cutoff_exponent)
+    D = _pair_counts(C, None, x)
 
     per_modulus = []
     contribs = []
     sum_sq_total = 0
     pair_sum = 0
     for q in moduli:
-        h = np.bincount(C % q, minlength=q)
-        ssq = int(np.dot(h, h))
+        ssq = size + 2 * int(D[q::q].sum())
         sum_sq_total += ssq
         pair_sum += ssq - size
         contrib = ssq - size * size / q

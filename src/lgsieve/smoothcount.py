@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dickman
-from .discrepancy import distinct_ints, variance_report
+from .discrepancy import _pair_counts, distinct_ints, variance_report
 from .lgset import LGSet, coverage, largest_int_below_pow
 from .powers import real_pow
 from .primes import PrimeTable
@@ -69,7 +69,7 @@ def _exact_sum(values) -> float:
         return 0.0
     if np.issubdtype(arr.dtype, np.integer):
         return float(arr.sum())
-    return math.fsum(float(v) for v in arr)
+    return math.fsum(arr.tolist())
 
 
 @dataclass
@@ -193,24 +193,13 @@ def sumset_weights(A, B, x: int) -> WeightedSet:
     [2, x] and the sieve applies verbatim.
     """
     Aa, Bb = distinct_ints(A, x // 2, "A"), distinct_ints(B, x // 2, "B")
-    w = np.zeros(x + 1, dtype=np.int64)
-    if Aa.size and Bb.size:
-        block = max(1, (1 << 22) // Bb.size)
-        for i in range(0, Aa.size, block):
-            s = (Aa[i : i + block, None] + Bb[None, :]).ravel()
-            w += np.bincount(s, minlength=x + 1)
-    return WeightedSet(x, w)
+    return WeightedSet(x, _pair_counts(Aa, Bb, x))
 
 
 def difference_weights(A, x: int) -> WeightedSet:
     """w(n) = #{(a, a') in A^2 : a > a', a - a' = n}; sigma = C(|A|, 2)."""
-    Aa = distinct_ints(A, x, "A")
-    w = np.zeros(x + 1, dtype=np.int64)
-    if Aa.size:
-        block = max(1, (1 << 22) // Aa.size)
-        for i in range(0, Aa.size, block):
-            d = (Aa[i : i + block, None] - Aa[None, :]).ravel()
-            w += np.bincount(d[d > 0], minlength=x + 1)
+    w = _pair_counts(distinct_ints(A, x, "A"), None, x)
+    w[0] = 0
     return WeightedSet(x, w)
 
 

@@ -1,11 +1,42 @@
 import random
+from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgsieve import coverage, residue_histogram, variance_report
+from lgsieve import LGParams, LGSet, coverage, variance_report
+from lgsieve import discrepancy
+from lgsieve.discrepancy import _fft_length, _pair_counts, distinct_ints
+
+
+@dataclass(frozen=True)
+class ResidueHistogram:
+    modulus: int
+    counts: np.ndarray  # counts[a] = #elements congruent to a (mod q)
+    total: int
+
+
+def residue_histogram(elements, q: int) -> ResidueHistogram:
+    """Histogram of distinct ``elements`` mod q."""
+    if q < 1:
+        raise ValueError(f"modulus must be >= 1, got {q}")
+    arr = np.asarray(elements, dtype=np.int64)
+    return ResidueHistogram(q, np.bincount(arr % q, minlength=q), int(arr.size))
+
+
+def variance_oracle(elements, moduli):
+    """(q, sum_a C(a, q)^2, contribution) per modulus from one residue
+    histogram each: the loop the difference counts replaced."""
+    arr = np.asarray(sorted(set(elements)), dtype=np.int64)
+    out = []
+    for q in moduli:
+        h = residue_histogram(arr, q)
+        ssq = int(h.counts @ h.counts)
+        out.append((q, ssq, ssq - h.total * h.total / q))
+    return out
 
 
 def test_histogram_equidistributed():
@@ -97,3 +128,109 @@ def test_modulus_csv(set100, table1k):
     assert lines[-1].startswith("total,")
     total_sum_sq = sum(int(l.split(",")[1]) for l in lines[1:-1])
     assert total_sum_sq == rep.sum_sq_total
+
+
+def all_moduli_set(x):
+    # every q in [2, x] as a member: far from LG, so eps' is passed in
+    return LGSet(LGParams(x, 0.5), range(2, x + 1))
+
+
+def moduli_below(lgset, cutoff):
+    return lgset.members[: lgset.count_below(cutoff)]
+
+
+@pytest.mark.parametrize("x", [4, 5, 1000, 2003, 3000])
+def test_variance_matches_histogram_oracle_every_modulus(x):
+    # 2003 is prime: neither x + 1 nor 2x is 5-smooth
+    lg = all_moduli_set(x)
+    rng = random.Random(x)
+    cases = [[], [x], [1], range(1, x + 1), rng.sample(range(1, x + 1), x // 3 + 1)]
+    for C in cases:
+        rep = variance_report(C, lg, 1.0, 0.1, eps_prime=0.5)
+        assert rep.per_modulus == variance_oracle(C, moduli_below(lg, 1.0))
+
+
+def test_variance_matches_histogram_oracle_lg_set(set10k):
+    rng = random.Random(7)
+    for cutoff in (1.0, 0.6):
+        moduli = moduli_below(set10k, cutoff)
+        for size in (1, 300, 5000):
+            C = rng.sample(range(1, 10**4 + 1), size)
+            rep = variance_report(C, set10k, cutoff, 0.1, eps_prime=0.3)
+            assert rep.per_modulus == variance_oracle(C, moduli)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.integers(min_value=4, max_value=2 * 10**4),
+    seed=st.integers(min_value=0, max_value=2**32),
+    density=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_variance_matches_histogram_oracle_property(x, seed, density):
+    rng = random.Random(seed)
+    moduli = rng.sample(range(2, x + 1), min(x - 1, 40))
+    C = rng.sample(range(1, x + 1), int(density * x))
+    lg = LGSet(LGParams(x, 0.5), moduli)
+    rep = variance_report(C, lg, 1.0, 0.1, eps_prime=0.5)
+    assert rep.per_modulus == variance_oracle(C, moduli_below(lg, 1.0))
+
+
+def test_fft_length_is_least_5_smooth():
+    smooth = sorted(
+        2**a * 3**b * 5**c
+        for a in range(16) for b in range(10) for c in range(8)
+        if 2**a * 3**b * 5**c <= 2 * 10**4
+    )
+    for m in range(1, 10**4 + 1):
+        assert _fft_length(m) == smooth[bisect_left(smooth, m)], m
+    assert _fft_length(2 * 10**5) == 2 * 10**5
+
+
+def test_pair_counts_brute_force():
+    rng = random.Random(3)
+    x = 300
+    A = distinct_ints(rng.sample(range(1, 151), 60))
+    B = distinct_ints(rng.sample(range(1, 151), 45))
+    sums = np.zeros(x + 1, dtype=np.int64)
+    diffs = np.zeros(x + 1, dtype=np.int64)
+    for a in A.tolist():
+        for b in B.tolist():
+            sums[a + b] += 1
+        for a2 in A.tolist():
+            if a >= a2:
+                diffs[a - a2] += 1
+    got_sums, got_diffs = _pair_counts(A, B, x), _pair_counts(A, None, x)
+    assert got_sums.dtype == got_diffs.dtype == np.int64
+    assert np.array_equal(got_sums, sums)
+    assert np.array_equal(got_diffs, diffs)
+    assert got_diffs[0] == A.size
+
+
+def test_pair_counts_rejects_sums_above_x():
+    with pytest.raises(ValueError):
+        _pair_counts(distinct_ints([1, 60]), distinct_ints([41]), 100)
+
+
+@pytest.mark.parametrize("shift, what", [(0.3, "residual"), (1.0, "total")])
+@pytest.mark.parametrize("sums", [True, False])
+def test_pair_counts_certificate_raises(monkeypatch, shift, what, sums):
+    irfft = np.fft.irfft
+
+    def off_by(spec, m):
+        r = irfft(spec, m)
+        r[7] += shift
+        return r
+
+    monkeypatch.setattr(discrepancy.np.fft, "irfft", off_by)
+    A = distinct_ints(range(1, 40, 3))
+    with pytest.raises(RuntimeError, match=what):
+        _pair_counts(A, A if sums else None, 100)
+
+
+def test_variance_report_certificate_raises(monkeypatch, set100):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(
+        discrepancy.np.fft, "irfft", lambda spec, m: irfft(spec, m) + 0.3
+    )
+    with pytest.raises(RuntimeError):
+        variance_report(range(1, 51), set100, 1.0, 0.4, eps_prime=0.34)

@@ -212,6 +212,72 @@ def test_residue_convolution_identity_detects_moved_weight(seed):
     assert not residue_convolution_identity_ok(moved, A, B, moduli)
 
 
+def sumset_oracle(A, B, x):
+    """Blocked enumeration of all |A||B| sums."""
+    Aa = np.asarray(sorted(set(A)), dtype=np.int64)
+    Bb = np.asarray(sorted(set(B)), dtype=np.int64)
+    w = np.zeros(x + 1, dtype=np.int64)
+    if Aa.size and Bb.size:
+        block = max(1, (1 << 22) // Bb.size)
+        for i in range(0, Aa.size, block):
+            s = (Aa[i : i + block, None] + Bb[None, :]).ravel()
+            w += np.bincount(s, minlength=x + 1)
+    return w
+
+
+def difference_oracle(A, x):
+    """Blocked enumeration of all |A|^2 differences, the positive ones kept."""
+    Aa = np.asarray(sorted(set(A)), dtype=np.int64)
+    w = np.zeros(x + 1, dtype=np.int64)
+    if Aa.size:
+        block = max(1, (1 << 22) // Aa.size)
+        for i in range(0, Aa.size, block):
+            d = (Aa[i : i + block, None] - Aa[None, :]).ravel()
+            w += np.bincount(d[d > 0], minlength=x + 1)
+    return w
+
+
+def assert_weights_match(A, B, x):
+    ws = sumset_weights(A, B, x)
+    assert ws.array.dtype == np.int64
+    assert np.array_equal(ws.array, sumset_oracle(A, B, x))
+    assert ws.sigma == len(set(A)) * len(set(B))
+    for C in (A, B):
+        wd = difference_weights(C, x)
+        assert wd.array.dtype == np.int64
+        assert np.array_equal(wd.array, difference_oracle(C, x))
+        assert wd.sigma == math.comb(len(set(C)), 2)
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 4, 1000, 2003, 2999, 3000])
+def test_weights_match_enumeration_oracle(x):
+    # 2003 is prime, so neither x + 1 nor 2x is 5-smooth
+    half = x // 2
+    rng = random.Random(x)
+    sets = [[], [half], [1], list(range(1, half + 1))]
+    sets += [rng.sample(range(1, half + 1), k) for k in (half // 7, half // 2)]
+    for A in sets:
+        for B in sets:
+            if all(1 <= v <= half for v in A + B):
+                assert_weights_match(A, B, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.integers(min_value=2, max_value=2 * 10**4),
+    seed=st.integers(min_value=0, max_value=2**32),
+    da=st.floats(min_value=0.0, max_value=1.0),
+    db=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_weights_match_enumeration_oracle_property(x, seed, da, db):
+    rng = random.Random(seed)
+    half = x // 2
+    cap = min(half, 2000)  # keeps the oracle's enumeration small
+    A = rng.sample(range(1, half + 1), int(da * cap))
+    B = rng.sample(range(1, half + 1), int(db * cap))
+    assert_weights_match(A, B, x)
+
+
 def test_difference_hand_example():
     ws = difference_weights([1, 2, 3], 100)
     assert {n: int(ws.array[n]) for n in ws.support} == {1: 2, 2: 1}

@@ -17,3 +17,33 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _fft_uses(tree):
+    """(enclosing function, line) of every reference to numpy's fft."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            found.append((func, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if any("fft" in n for n in names):
+                found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_fft_only_in_pair_counts():
+    # one owner of the float-to-integer rounding and its certificate
+    uses = {
+        path.name: _fft_uses(ast.parse(path.read_text(), str(path)))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    owners = {(name, func) for name, found in uses.items() for func, _ in found}
+    assert owners == {("discrepancy.py", "_pair_counts")}
