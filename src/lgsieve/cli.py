@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from . import dickman, discrepancy, lgset as lg, smoothcount
-from .powers import real_pow
 from .primes import DEFAULT_TABLE_CEILING, ResourceLimitError, build_prime_table
 
 SWEEP_CSV_HEADER = (
@@ -226,25 +225,17 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_dickman(args) -> int:
     table = dickman.build_dickman_table(step=args.step, max_u=args.max_u)
-    sorted_lpf = None
-    x = args.x
-    if x is not None:
-        pt = build_prime_table(x, ceiling=_table_ceiling())
-        sorted_lpf = np.sort(pt.largest_factor_array()[1 : x + 1])
-    lines = ["u,rho,empirical_rho,x"]
-    n = len(table.values)
-    for i in range(0, n, args.emit_every):
-        u = i * args.step
-        if u > args.max_u + 1e-12:
-            break
-        r = float(table.values[i])
-        if sorted_lpf is not None and u >= 1.0:
-            y = real_pow(x, 1.0 / u) if u > 0 else float(x)
-            emp = int(np.searchsorted(sorted_lpf, y, side="right")) / x
-            lines.append(f"{u!r},{r!r},{emp!r},{x}")
-        else:
-            lines.append(f"{u!r},{r!r},,{'' if x is None else x}")
-    return _emit(lines, args.out)
+    us = [i * args.step for i in range(0, len(table.values), args.emit_every)]
+    us = [u for u in us if u <= args.max_u + 1e-12]
+    emp = [""] * len(us)
+    if args.x is not None:
+        pt = build_prime_table(args.x, ceiling=_table_ceiling())
+        k = sum(u < 1.0 for u in us)  # the density is defined on the suffix u >= 1
+        emp[k:] = map(repr, dickman.empirical_rho(args.x, us[k:], pt).tolist())
+    x = "" if args.x is None else args.x
+    rhos = table.values[:: args.emit_every].tolist()
+    lines = [f"{u!r},{r!r},{e},{x}" for u, r, e in zip(us, rhos, emp)]
+    return _emit(["u,rho,empirical_rho,x", *lines], args.out)
 
 
 def _cmd_sieve_check(args) -> int:
@@ -304,7 +295,7 @@ def _cmd_theorem2(args) -> int:
             "weights": args.weights,
             "seed": args.seed,
         },
-        "report": {k: v for k, v in dataclasses.asdict(rep).items() if k != "gamma"},
+        "report": dataclasses.asdict(rep),
     }
     return _emit_json(doc, args.out)
 
@@ -344,11 +335,10 @@ def _cmd_sweep(args) -> int:
     s, table, A, B = _sumset_setup(args)
     p = s.params
     ws = smoothcount.sumset_weights(A, B, p.x)
-    dt = dickman.build_dickman_table(max_u=max(10.0, 1.0 / min(args.theta) + 1))
+    thetas = [t for t in args.theta if p.delta < t <= 1]
+    dt = dickman.build_dickman_table(max_u=max(10.0, 1.0 / min(thetas, default=1.0) + 1))
     lines = [SWEEP_CSV_HEADER]
-    for theta in args.theta:
-        if not p.delta < theta <= 1:
-            continue
+    for theta in thetas:
         part = smoothcount.partition(s, theta, p.c, table)
         rep = smoothcount.sieve_report(ws, part, s, args.gamma, table)
         smooth_count = int(rep.smooth_total)

@@ -70,9 +70,11 @@ def rho(u: float, table: DickmanTable) -> float:
     return _interp(table.values, table.step, u)
 
 
-def empirical_rho(x: int, u: float, table: PrimeTable) -> float:
-    """Psi(x, x^(1/u)) / x, the finite-x smooth density."""
-    if u < 1:
+def empirical_rho(x: int, u, table: PrimeTable):
+    """Psi(x, x^(1/u)) / x, the finite-x smooth density, for u >= 1 or
+    a 1-D array of such u (a float, or a float64 array, back)."""
+    us = np.asarray(u, dtype=float)
+    if np.any(us < 1):
         raise ValueError(f"u must be >= 1, got {u}")
-    y = real_pow(x, 1.0 / u)
+    y = np.array([real_pow(x, 1.0 / v) for v in us.flat]).reshape(us.shape)
     return psi_count(x, y, table) / x

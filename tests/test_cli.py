@@ -164,6 +164,20 @@ def test_sweep_row_count(tmp_path):
     assert len(lines) == 1 + 7  # one row per theta grid point
 
 
+def test_sweep_theta_zero_is_skipped(tmp_path):
+    # theta = 0 <= delta is skipped and must not size the rho table
+    rows = {}
+    for spec in ("0:0.25:1", "0.25:0.25:1"):
+        out = tmp_path / f"{spec}.csv"
+        assert run_cli(
+            "sweep", "--x", "2000", "--delta", "0.1", "--theta", spec, "--gamma", "0.2",
+            "--size-a", "50", "--size-b", "50", "--out", str(out)
+        ) == 0
+        rows[spec] = out.read_text().splitlines()
+    assert rows["0:0.25:1"] == rows["0.25:0.25:1"]
+    assert len(rows["0:0.25:1"]) == 1 + 4
+
+
 def test_sumset_deterministic(tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
@@ -257,6 +271,12 @@ OUTPUT_HASHES = {
     "sumset-lg-at-2x": (["sumset", *_SET, *_T3, "--size-a", "300", "--size-b", "300",
                          "--seed", "7", "--lg-at-2x", "--out", "{out}"], 0,
                         "2ecd00f5029050bae6ad431349c4a224cd8adaaca31d9c977157bc995495329a"),
+    "dickman-x": (["dickman", "--max-u", "4", "--step", "0.01", "--x", "100000",
+                   "--out", "{out}"], 0,
+                  "44246b03efdcb680b4985e9dcb4f8bfd409e2d8683469d06086a5df7f89c753d"),
+    "dickman-emit-every": (["dickman", "--max-u", "6", "--x", "97", "--emit-every", "7",
+                            "--out", "{out}"], 0,
+                           "14cc2212c1c65ce1b979479d35f21731af6696e620ae55b14ae3e2c6180f6368"),
 }
 
 

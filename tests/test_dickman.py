@@ -67,3 +67,14 @@ def test_empirical_rho_monotone_in_u(table10k):
 def test_empirical_rho_requires_u_at_least_one(table10k):
     with pytest.raises(ValueError):
         empirical_rho(10**4, 0.5, table10k)
+    with pytest.raises(ValueError):
+        empirical_rho(10**4, [1.0, 2.0, 0.5], table10k)
+
+
+@pytest.mark.parametrize("x", [1, 97, 10**4])
+def test_empirical_rho_array_equals_scalar_calls(table10k, x):
+    us = [1.0, 1.001, 1.5, 2.0, 2.7, 3.0, 4.25, 6.0, 20.0]
+    scalar = [empirical_rho(x, u, table10k) for u in us]
+    assert all(type(v) is float for v in scalar)
+    assert empirical_rho(x, np.array(us), table10k).tolist() == scalar
+    assert empirical_rho(x, [], table10k).tolist() == []

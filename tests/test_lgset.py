@@ -285,6 +285,51 @@ def test_choose_cutoff_monotone(set10k):
     assert 0.1 < c1 <= 1.0
 
 
+def _choose_cutoff_linear(lgset, epsilon):
+    """Oracle: the linear scan over the 0.01 grid that bisection replaced."""
+    delta = lgset.params.delta
+    recips = [1.0 / q for q in lgset.members]
+    for k in range(int(math.floor(delta * 100)) + 1, 101):
+        c = k / 100.0
+        if c <= delta:
+            continue
+        if math.fsum(recips[lgset.count_below(c) :]) < epsilon / 2.0:
+            return c
+    return 1.0
+
+
+@pytest.mark.parametrize(
+    "x, delta, members, epsilon",
+    [
+        (100, 0.2, None, 0.2),
+        (10**4, 0.1, None, 0.05),
+        (10**4, 0.1, None, 0.3),
+        (10**4, 0.05, None, 0.9),
+        (3000, 0.29, None, 0.2),  # delta * 100 rounds below 29
+        # no c passes: the tail at c = 1.0 is 1/x >= epsilon/2, so 1.0 is the fallback
+        (10, 0.1, [10], 0.1),
+    ],
+)
+def test_choose_cutoff_matches_linear_scan(table10k, x, delta, members, epsilon):
+    params = LGParams(x, delta)
+    s = construct(params, table10k) if members is None else LGSet(params, members)
+    assert choose_cutoff(s, epsilon) == _choose_cutoff_linear(s, epsilon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(min_value=4, max_value=3000),
+    delta=st.floats(min_value=0.01, max_value=0.95),
+    epsilon=st.floats(min_value=0.001, max_value=0.999),
+    data=st.data(),
+)
+def test_choose_cutoff_matches_linear_scan_property(x, delta, epsilon, data):
+    # count_below and the tail need no LG property, so any member set serves
+    members = data.draw(st.sets(st.integers(min_value=2, max_value=x), max_size=60))
+    s = LGSet(LGParams(x, delta), members)
+    assert choose_cutoff(s, epsilon) == _choose_cutoff_linear(s, epsilon)
+
+
 def test_choose_cutoff_regression_100k(table100k):
     # frozen after a one-off tail-sum sweep over the constructed set
     s = construct(LGParams(10**5, 0.05), table100k)

@@ -167,6 +167,21 @@ def test_psi_monotone(table10k, x1, x2, y1, y2):
     assert psi_count(x1, y1, table10k) <= psi_count(x1, y2, table10k)
 
 
+def _psi_oracle(x, y, table):
+    return int(np.count_nonzero(table.largest_factor_array()[1 : x + 1] <= y))
+
+
+@pytest.mark.parametrize("x", [1, 2, 97, 10**4])
+def test_psi_count_array_matches_oracle(table10k, x):
+    ys = [0, 0.5, 1, 2, 96.9, 97, x, 2 * x]
+    ys += np.random.default_rng(x).uniform(0, 2 * x, 20).tolist()
+    counts = psi_count(x, np.array(ys), table10k)
+    assert counts.tolist() == [_psi_oracle(x, y, table10k) for y in ys]
+    for y in ys:
+        psi = psi_count(x, y, table10k)
+        assert type(psi) is int and psi == _psi_oracle(x, y, table10k)
+
+
 def test_psi_full_for_large_y(table10k):
     assert psi_count(10**4, 10**4, table10k) == 10**4
 
@@ -200,13 +215,18 @@ def test_spf_cache_bad_magic(tmp_path):
         (91, 1),  # below 2
         (1, 1),  # entry 1 must be 0
         (0, 2),  # entry 0 must be 0
+        (None, 6),  # the file ends after the magic: no limit field
+        (None, 13),  # a limit field of 7 bytes
     ],
 )
 def test_spf_cache_rejects_corrupt_entry(tmp_path, table1k, n, value):
     path = tmp_path / "spf.bin"
     write_spf_cache(table1k, path)
     raw = bytearray(path.read_bytes())
-    raw[14 + 4 * n : 18 + 4 * n] = value.to_bytes(4, "little")
+    if n is None:  # keep only the first `value` bytes
+        raw = raw[:value]
+    else:
+        raw[14 + 4 * n : 18 + 4 * n] = value.to_bytes(4, "little")
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="corrupt cache"):
         read_spf_cache(path)

@@ -371,6 +371,20 @@ def test_theorem3_smooth_count_brute_force(set10k, table10k, seed, theta):
     assert doc["residue_identity_ok"]
 
 
+def test_theorem3_normalizes_through_its_callees(set10k, table10k):
+    # repeats count once in |A|, |B| and every sum; values above x/2 fail in sumset_weights
+    x = 10**4
+    s = with_cutoff(set10k, 0.9)
+    rng = random.Random(4)
+    A = rng.sample(range(1, x // 2 + 1), 80)
+    B = rng.sample(range(1, x // 2 + 1), 90)
+    doc = theorem3_experiment(A, B, s, 0.5, 0.2, table10k)
+    assert (doc["params"]["size_a"], doc["params"]["size_b"]) == (80, 90)
+    assert theorem3_experiment(A + A[:7], B[::-1] + B[:3], s, 0.5, 0.2, table10k) == doc
+    with pytest.raises(ValueError, match=r"A must lie in \[1, 5000\]"):
+        theorem3_experiment(A + [x // 2 + 1], B, s, 0.5, 0.2, table10k)
+
+
 def test_theorem3_bad_theta_fails_before_weights(set10k, table10k, monkeypatch):
     def no_weights(*args):
         raise AssertionError("sumset_weights ran before the theta check")
