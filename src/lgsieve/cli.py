@@ -229,7 +229,8 @@ def _cmd_dickman(args) -> int:
     us = [u for u in us if u <= args.max_u + 1e-12]
     emp = [""] * len(us)
     if args.x is not None:
-        pt = build_prime_table(args.x, ceiling=_table_ceiling())
+        # the sieve needs a limit >= 2; Psi(1, y) = 1 reads any table
+        pt = build_prime_table(max(args.x, 2), ceiling=_table_ceiling())
         k = sum(u < 1.0 for u in us)  # the density is defined on the suffix u >= 1
         emp[k:] = map(repr, dickman.empirical_rho(args.x, us[k:], pt).tolist())
     x = "" if args.x is None else args.x

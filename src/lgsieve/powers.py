@@ -8,6 +8,8 @@ the boundary when x^e lands near an integer (e.g. e = 1.0 exactly).
 
 from __future__ import annotations
 
+import functools
+
 import mpmath
 
 _DPS = 50
@@ -30,8 +32,10 @@ def floor_pow(x: int, e: float) -> int:
         return int(mpmath.floor(_mp_pow(x, e)))
 
 
+@functools.cache
 def largest_int_below_pow(x: int, e: float) -> int:
-    """Largest integer strictly less than x^e."""
+    """Largest integer strictly less than x^e; memoized, because callers
+    ask for the same boundary x^c once per member and once per report."""
     with mpmath.workdps(_DPS):
         v = _mp_pow(x, e)
         f = mpmath.floor(v)

@@ -201,16 +201,53 @@ def difference_weights(A, x: int) -> WeightedSet:
     return WeightedSet(x, w)
 
 
+_INT32_MAX = 2**31 - 1
+_BLOCK = 64  # moduli whose residues are computed together
+
+
+def _residues(values, col, out):
+    """values mod q for each q in the column, in place in ``out``:
+    values - q*floor(values/q), with no intermediate above the values."""
+    np.floor_divide(values, col, out=out)
+    out *= col
+    return np.subtract(values, out, out=out)
+
+
 def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli) -> bool:
     """Check, in exact integer arithmetic, that for every modulus q the
-    weight mass on multiples of q equals hist(A mod q) . hist(-B mod q),
-    that is #{(a, b) : q | a + b}; the right side never reads the weights."""
-    Aa, Bb = distinct_ints(A, name="A"), distinct_ints(B, name="B")
+    weight mass on multiples of q equals #{(a, b) : q | a + b}; the
+    right side never reads the weights.
+
+    A and B must lie in [1, weights.x] and the moduli must be integers
+    in [1, 2^31 - 1], else ValueError.  The residues are int32 floor
+    divisions over blocks of moduli: a mod q = a - q*floor(a/q) and
+    (-b) mod q = (q - 1) - ((b - 1) mod q), neither of which overflows.
+    """
+    x = weights.x
+    if x > _INT32_MAX:
+        raise ValueError(f"x = {x} exceeds 2^31 - 1, the range of the int32 residues")
+    Aa = distinct_ints(A, x, "A").astype(np.int32)
+    Bm1 = distinct_ints(B, x, "B").astype(np.int32) - np.int32(1)
+    qs = np.asarray(list(moduli))
+    if qs.size and (
+        not np.issubdtype(qs.dtype, np.integer) or qs.min() < 1 or qs.max() > _INT32_MAX
+    ):
+        raise ValueError(f"moduli must be integers in [1, {_INT32_MAX}]")
     arr = weights.array
-    for q in moduli:
-        pairs = int(np.bincount(Aa % q, minlength=q) @ np.bincount(-Bb % q, minlength=q))
-        if int(arr[q::q].sum()) != pairs:
-            return False
+    bufA = np.empty((_BLOCK, Aa.size), dtype=np.int32)
+    bufB = np.empty((_BLOCK, Bm1.size), dtype=np.int32)
+    for start in range(0, qs.size, _BLOCK):
+        block = qs[start : start + _BLOCK].astype(np.int32)
+        col = block[:, None]
+        rA = _residues(Aa, col, bufA[: block.size])
+        rB = _residues(Bm1, col, bufB[: block.size])
+        np.subtract(col - np.int32(1), rB, out=rB)
+        for q, ra, rb in zip(block.tolist(), rA, rB):
+            # residues of A are <= x, so for q > x + 1 the histogram stops
+            # at x + 1 and a residue of -b beyond it clips onto that empty bin
+            hist = np.bincount(ra, minlength=min(q, x + 2))
+            if int(arr[q::q].sum()) != int(hist.take(rb, mode="clip").sum()):
+                return False
     return True
 
 

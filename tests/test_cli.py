@@ -153,6 +153,18 @@ def test_dickman_with_empirical(tmp_path):
     assert by_u[0.5][2] == ""  # empirical density undefined below u = 1
 
 
+def test_dickman_at_x_one(tmp_path):
+    # Psi(1, y) = 1 for every y, so each row with u >= 1 reads 1.0
+    out = tmp_path / "rho.csv"
+    assert run_cli(
+        "dickman", "--max-u", "1.5", "--step", "0.25", "--x", "1", "--out", str(out)
+    ) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["0.0", "0.25", "0.5", "0.75", "1.0", "1.25", "1.5"]
+    assert all(r[3] == "1" for r in rows)
+    assert [r[2] for r in rows] == ["", "", "", "", "1.0", "1.0", "1.0"]
+
+
 def test_sweep_row_count(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli(
@@ -274,6 +286,9 @@ OUTPUT_HASHES = {
     "dickman-x": (["dickman", "--max-u", "4", "--step", "0.01", "--x", "100000",
                    "--out", "{out}"], 0,
                   "44246b03efdcb680b4985e9dcb4f8bfd409e2d8683469d06086a5df7f89c753d"),
+    "dickman-x2": (["dickman", "--max-u", "1.5", "--step", "0.25", "--x", "2",
+                    "--out", "{out}"], 0,
+                   "fe9b4d42fc368dbf0b00d3bfb5d7001b1c635c5b39bd6c435a6f3ca7569ffdf2"),
     "dickman-emit-every": (["dickman", "--max-u", "6", "--x", "97", "--emit-every", "7",
                             "--out", "{out}"], 0,
                            "14cc2212c1c65ce1b979479d35f21731af6696e620ae55b14ae3e2c6180f6368"),

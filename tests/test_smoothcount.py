@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -210,6 +211,107 @@ def test_residue_convolution_identity_detects_moved_weight(seed):
     moved = WeightedSet(x, arr)
     assert moved.sigma == ws.sigma
     assert not residue_convolution_identity_ok(moved, A, B, moduli)
+
+
+def residue_identity_oracle(ws, A, B, moduli):
+    """The per-modulus histogram dot hist(A mod q) . hist(-B mod q) in
+    int64, which the blocked int32 route replaced."""
+    Aa = np.array(sorted(set(A)), dtype=np.int64)
+    Bb = np.array(sorted(set(B)), dtype=np.int64)
+    arr = ws.array
+    return all(
+        int(arr[q::q].sum())
+        == int(np.bincount(Aa % q, minlength=q) @ np.bincount(-Bb % q, minlength=q))
+        for q in moduli
+    )
+
+
+def _moved_unit(ws, n):
+    arr = ws.array.copy()
+    arr[n] -= 1
+    arr[n + 1] += 1
+    return WeightedSet(ws.x, arr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(min_value=2, max_value=2 * 10**4),
+    seed=st.integers(min_value=0, max_value=2**32),
+    da=st.floats(min_value=0.0, max_value=1.0),
+    db=st.floats(min_value=0.0, max_value=1.0),
+    nq=st.integers(min_value=0, max_value=200),
+    move=st.booleans(),
+    top=st.booleans(),
+)
+def test_residue_identity_matches_oracle_property(x, seed, da, db, nq, move, top):
+    rng = random.Random(seed)
+    half = x // 2
+    cap = min(half, 2000)
+    A = rng.sample(range(1, half + 1), int(da * cap))
+    B = rng.sample(range(1, half + 1), int(db * cap))
+    # unsorted, with repeats, q = 1, q > x, and q dividing some b
+    pool = [1, x, x + 1, 2 * x + 3, *B[:5], *(b // 2 for b in B[:5] if b > 1)]
+    moduli = [rng.choice(pool) if rng.random() < 0.3 else rng.randint(1, 2 * x)
+              for _ in range(nq)]
+    ws = sumset_weights(A, B, x)
+    below = ws.support[ws.support < x]
+    if move and below.size:
+        ws = _moved_unit(ws, int(rng.choice(below.tolist())))
+    if top:  # elements may reach x, above the range the weights were built from
+        A, B = A + [x], B + [x]
+    want = [residue_identity_oracle(ws, A, B, [q]) for q in moduli]
+    assert [residue_convolution_identity_ok(ws, A, B, [q]) for q in moduli] == want
+    assert residue_convolution_identity_ok(ws, A, B, moduli) == all(want)
+
+
+@pytest.mark.parametrize("where", [63, 64, "last", "largest"])
+def test_residue_identity_detects_moved_weight_at_block_edges(where):
+    """A unit moved off a multiple n of q, where q is the only modulus
+    dividing n or n + 1, flips the verdict with q at either side of a
+    block boundary, at the last index and as the largest modulus."""
+    rng = random.Random(5)
+    x = 4000
+    A, B = rng.sample(range(1, 2001), 300), rng.sample(range(1, 2001), 300)
+    ws = sumset_weights(A, B, x)
+    q = 3001 if where == "largest" else 101
+    n = next(m for m in range(q, x, q) if ws.array[m] > 0)
+    top = q if where == "largest" else 2 * x + 3
+    others = [m for m in range(1, top) if m == 1 or (n % m and (n + 1) % m)]
+    others = rng.choices(others, k=150)  # with repeats, unsorted
+    index = {"last": len(others), "largest": 100}.get(where, where)
+    moduli = others[:index] + [q] + others[index:]
+    assert moduli[index] == q and (where != "last" or index == len(moduli) - 1)
+    assert where != "largest" or q == max(moduli)
+    assert residue_convolution_identity_ok(ws, A, B, moduli)
+    moved = _moved_unit(ws, n)
+    assert residue_identity_oracle(moved, A, B, others)  # only q sees the move
+    assert not residue_identity_oracle(moved, A, B, [q])
+    assert not residue_convolution_identity_ok(moved, A, B, moduli)
+
+
+@pytest.mark.parametrize(
+    "A, B, moduli, message",
+    [
+        ([1], [1], [0], "moduli must be integers"),
+        ([1], [1], [-3], "moduli must be integers"),
+        ([1], [1], [2**31], "moduli must be integers"),
+        ([1], [1], [2.0], "moduli must be integers"),
+        ([0], [1], [2], "A must lie in"),
+        ([101], [1], [2], "A must lie in"),
+        ([1], [101], [2], "B must lie in"),
+    ],
+)
+def test_residue_identity_rejects_bad_input(A, B, moduli, message):
+    ws = sumset_weights([1, 2], [3], 100)
+    with pytest.raises(ValueError, match=message):
+        residue_convolution_identity_ok(ws, A, B, moduli)
+
+
+def test_residue_identity_rejects_x_beyond_int32():
+    # only x and the array are read; a dense array of 2^31 entries is not built
+    huge = SimpleNamespace(x=2**31, array=np.zeros(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="2\\^31 - 1"):
+        residue_convolution_identity_ok(huge, [1], [1], [2])
 
 
 def sumset_oracle(A, B, x):

@@ -47,3 +47,31 @@ def test_fft_only_in_pair_counts():
     }
     owners = {(name, func) for name, found in uses.items() for func, _ in found}
     assert owners == {("discrepancy.py", "_pair_counts")}
+
+
+def _names_reached(module, func):
+    """Every name and attribute referenced by ``func`` and by the
+    functions of the same module that it calls, transitively."""
+    tree = ast.parse((SRC / module).read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo, names = set(), [func], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+                if node.id in defs:
+                    todo.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_residue_identity_never_reads_the_weights_engine():
+    # its right side must stay independent of the pair counts it checks
+    names = _names_reached("smoothcount.py", "residue_convolution_identity_ok")
+    assert "bincount" in names  # the walk does see the function body
+    assert not names & {"_pair_counts", "sumset_weights", "difference_weights", "fft"}
