@@ -19,7 +19,8 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,6 +28,12 @@ from .powers import floor_pow, largest_int_below_pow
 from .primes import PrimeTable
 
 COVERAGE_CSV_HEADER = "x,delta,cutoff,covered,exceptional,harmonic_sum,epsilon_prime"
+
+# Members q <= x**SLICE_MAX_EXPONENT mark their multiples with one slice
+# each; the larger ones, most members of a constructed set, are marked one
+# multiple index k at a time, so the k loop runs fewer than x**0.2 times.
+SLICE_MAX_EXPONENT = 0.8
+JSON_BLOCK = 8192  # members per str.join in save_json
 
 
 @dataclass(frozen=True)
@@ -69,12 +76,20 @@ class LGSet:
         exceeds x), that is, iff the m the members mark number exactly
         sum floor(x/q).  Builds the divisor map on first use."""
         if self._divisors is None:
-            x = self.params.x
+            x, members = self.params.x, self.members
             div = np.zeros(x + 1, dtype=np.int32)
-            for q in self.members:
+            i = bisect_right(members, int(x**SLICE_MAX_EXPONENT))
+            for q in members[:i]:
                 div[q::q] = q
+            qs = np.asarray(members, dtype=np.int32)  # members <= x < 2**31
+            big = qs[i:]
+            # Python ints: an int32 big[0] * k overflows near x = 2**31 - 1
+            kmax = x // members[i] if i < len(members) else 0
+            for k in range(1, kmax + 1):
+                n = int(np.searchsorted(big, x // k, side="right"))  # big[:n] * k <= x
+                div[big[:n] * k] = big[:n]  # one k never repeats an index
             div.flags.writeable = False  # shared by every reader and with_cutoff copy
-            multiples = sum(x // q for q in self.members)
+            multiples = int((x // qs).sum(dtype=np.int64))
             self._divisors = (div, multiples == int(np.count_nonzero(div)))
         return self._divisors[1]
 
@@ -154,7 +169,9 @@ def construct(params: LGParams, table: PrimeTable) -> LGSet:
     if table.limit < x:
         raise ValueError(f"table limit {table.limit} < x = {x}")
     pmin = floor_pow(x, params.delta)
-    ps = [int(p) for p in table.primes if pmin < p <= x]
+    primes = table.primes  # ascending
+    lo, hi = np.searchsorted(primes, [pmin, x], side="right")
+    ps = primes[lo:hi].tolist()  # Python ints, so the chain products stay exact
     members: list[int] = []
 
     def extend(prod: int, idx: int) -> None:
@@ -197,11 +214,18 @@ def verify_pairwise_lcm(lgset: LGSet) -> PairwiseLcmReport:
     counts = np.zeros(x + 1, dtype=np.int32)
     for q in members:
         counts[q::q] += 1
+    overlap = counts >= 2
+    # (m, q) for each member q dividing an overlapping m; the stable sort
+    # keeps each m's divisors in ascending member order
+    ks = [np.flatnonzero(overlap[q::q]) + 1 for q in members]  # m = k * q
+    qs = np.repeat(np.asarray(members, dtype=np.int64), [len(k) for k in ks])
+    ms = np.concatenate(ks) * qs
+    order = np.argsort(ms, kind="stable")
     violations = []
     seen = set()
-    for m in np.flatnonzero(counts >= 2):
-        m = int(m)
-        divs = [q for q in members if m % q == 0]
+    pairs = zip(ms[order].tolist(), qs[order].tolist())
+    for _, group in groupby(pairs, key=itemgetter(0)):
+        divs = [q for _, q in group]
         for a, b in combinations(divs, 2):
             l = math.lcm(a, b)
             if l <= x and (a, b) not in seen:
@@ -273,9 +297,19 @@ def to_json_dict(lgset: LGSet) -> dict:
 
 
 def save_json(lgset: LGSet, path) -> None:
+    """Write the bytes of ``json.dump(to_json_dict(lgset), fh,
+    sort_keys=True, indent=2)`` plus a newline.  json's indenting encoder
+    is pure Python, so the members are joined here in blocks instead."""
+    p = lgset.params
+    members = lgset.members
     with open(path, "w") as fh:
-        json.dump(to_json_dict(lgset), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(f'{{\n  "c": {json.dumps(p.c)},\n  "delta": {json.dumps(p.delta)},\n  "members": [')
+        for i in range(0, len(members), JSON_BLOCK):
+            fh.write(",\n    " if i else "\n    ")
+            fh.write(",\n    ".join(map(str, members[i : i + JSON_BLOCK])))
+        if members:
+            fh.write("\n  ")
+        fh.write(f'],\n  "x": {json.dumps(p.x)}\n}}\n')
 
 
 def load_json(path) -> LGSet:

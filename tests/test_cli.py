@@ -251,6 +251,9 @@ _WEIGHTS = ("uniform", "random-dense", "random-sparse", "indicator")
 OUTPUT_HASHES = {
     "build": (["build", *_SET, "--out", "{out}"], 0,
               "93352c46fb70fe059938ccf9b1f088cf7cb54a677a9cb8aad127088d038d37a3"),
+    # 12,456 members: more than one block of save_json
+    "build-1e5": (["build", "--x", "100000", "--delta", "0.05", "--out", "{out}"], 0,
+                  "abc39df882e03dc0cf97b3e50d74c93f35ec76e3514897a82d7bfa60e6128de7"),
     "verify": (["verify", *_SET], 0,
                "2f91034a24bd8418cf1073fdc190d0b5a7cd7d1c329633bf7012944332b19311"),
     "coverage": (["coverage", *_SET, "--out", "{out}"], 0,

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from lgsieve import (
     verify_pairwise_lcm,
     with_cutoff,
 )
+from lgsieve.lgset import JSON_BLOCK, SLICE_MAX_EXPONENT, to_json_dict
 from lgsieve.powers import floor_pow, largest_int_below_pow
 
 EXPECTED_100 = sorted(
@@ -158,6 +161,95 @@ def test_divisor_map_matches_walk_and_scan(table10k, x, delta):
         expected = divisors_of[m][0] if divisors_of[m] else None
         assert walk_divisor(m, x, pmin, table10k.smallest_factor) == expected
         assert (int(div[m]) or None) == expected
+
+
+def slice_loop_map(members, x):
+    """Oracle: the divisor map marked one slice per member, with its
+    verdict sum floor(x/q) == #marked."""
+    div = np.zeros(x + 1, dtype=np.int32)
+    for q in members:
+        div[q::q] = q
+    return div, sum(x // q for q in members) == int(np.count_nonzero(div))
+
+
+def assert_map_matches_slice_loop(s):
+    div, disjoint = slice_loop_map(s.members, s.params.x)
+    assert s.multiples_disjoint() == disjoint
+    if disjoint:
+        assert np.array_equal(s.divisor_map(), div)
+        assert s.divisor_map().dtype == np.int32
+        assert not s.divisor_map().flags.writeable
+    else:
+        with pytest.raises(ValueError, match="not LG"):
+            s.divisor_map()
+    return disjoint
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=5000),
+    st.floats(min_value=0.05, max_value=0.5, exclude_min=True, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.randoms(use_true_random=False),
+)
+def test_divisor_map_matches_slice_loop_on_lg_subsets(table10k, x, delta, keep, rnd):
+    s = construct(LGParams(x, delta), table10k)
+    members = rnd.sample(s.members, int(keep * len(s)))
+    assert assert_map_matches_slice_loop(LGSet(s.params, members))  # subsets stay LG
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_divisor_map_verdict_matches_slice_loop_on_random_sets(data):
+    x = data.draw(st.integers(min_value=4, max_value=5000))
+    members = data.draw(st.lists(st.integers(min_value=2, max_value=x), unique=True, max_size=40))
+    assert_map_matches_slice_loop(LGSet(LGParams(x, 0.2), members))
+
+
+_SPLIT_1000 = int(1000**SLICE_MAX_EXPONENT)  # 251
+
+
+@pytest.mark.parametrize(
+    "members, lg",
+    [
+        ([], True),
+        ([37, 41, 43, 97, 101, 241], True),  # every member at or below the split
+        ([_SPLIT_1000 + 1, 263, 509, 997, 1000], True),  # every member above it
+        ([37, _SPLIT_1000, _SPLIT_1000 + 1, 1000], True),  # one at the split, one equal to x
+        ([300, 600, 997], False),  # overlap among the members above the split
+        ([37, 74, 500], False),  # overlap among the members below it
+        ([37, 999], False),  # 37 | 999 across the split
+    ],
+)
+def test_divisor_map_split_edges(members, lg):
+    assert assert_map_matches_slice_loop(LGSet(LGParams(1000, 0.2), members)) == lg
+
+
+def listing_violations(members, x):
+    """Oracle: the per-m listing, every member tested against every m
+    with two or more member divisors."""
+    counts = np.zeros(x + 1, dtype=np.int32)
+    for q in members:
+        counts[q::q] += 1
+    violations = []
+    seen = set()
+    for m in np.flatnonzero(counts >= 2):
+        divs = [q for q in members if int(m) % q == 0]
+        for a, b in itertools.combinations(divs, 2):
+            l = math.lcm(a, b)
+            if l <= x and (a, b) not in seen:
+                seen.add((a, b))
+                violations.append((a, b, l))
+    return violations
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pairwise_lcm_listing_matches_per_m_oracle(data):
+    x = data.draw(st.integers(min_value=4, max_value=5000))
+    members = data.draw(st.lists(st.integers(min_value=2, max_value=x), unique=True, max_size=40))
+    s = LGSet(LGParams(x, 0.2), members)
+    assert verify_pairwise_lcm(s).violations == listing_violations(s.members, x)
 
 
 def test_pairwise_lcm_clean(set100):
@@ -368,3 +460,29 @@ def test_json_roundtrip(tmp_path, set100):
     assert doc["members"] == s.members
     loaded = load_json(path)
     assert loaded == s
+
+
+def json_dump_bytes(s, path):
+    with open(path, "w") as fh:
+        json.dump(to_json_dict(s), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "x, delta, c, members",
+    [
+        (100, 0.2, 1.0, []),
+        (100, 0.2, 0.9, [97]),
+        (100, 0.2, 1, [11, 97]),  # an integer c, as load_json keeps it
+        (20000, 0.05, 0.93, range(2, JSON_BLOCK + 2)),  # one full block
+        (20000, 0.05, 0.93, range(2, JSON_BLOCK + 3)),  # one member into the second
+        (100, 1e-05, 0.5, [11, 13]),
+        (100, 0.1, 0.5, [11, 13]),
+    ],
+)
+def test_save_json_bytes_match_json_dump(tmp_path, x, delta, c, members):
+    s = LGSet(LGParams(x, delta, c), members)
+    save_json(s, tmp_path / "set.json")
+    assert (tmp_path / "set.json").read_bytes() == json_dump_bytes(s, tmp_path / "ref.json")
+    assert load_json(tmp_path / "set.json") == s
