@@ -169,7 +169,7 @@ def _load_or_build(args):
         table = build_prime_table(s.params.x, ceiling=_table_ceiling())
         return s, table
     # LGParams checks delta < c before the table is built
-    params = lg.LGParams(args.x, args.delta, args.c or 1.0, epsilon_target=args.epsilon)
+    params = lg.LGParams(args.x, args.delta, args.c or 1.0)
     table = build_prime_table(args.x, ceiling=_table_ceiling())
     s = lg.construct(params, table)
     if args.c is None:
@@ -182,12 +182,8 @@ def _emit(lines, out_path) -> int:
     if out_path is None:
         sys.stdout.write(text)
         return 0
-    try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"lgsieve: cannot write {out_path}: {exc}", file=sys.stderr)
-        return 3
+    with open(out_path, "w") as fh:
+        fh.write(text)
     return 0
 
 
@@ -197,11 +193,7 @@ def _emit_json(doc, out_path) -> int:
 
 def _cmd_build(args) -> int:
     s, _ = _load_or_build(args)
-    try:
-        lg.save_json(s, args.out)
-    except OSError as exc:
-        print(f"lgsieve: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 3
+    lg.save_json(s, args.out)
     print(f"wrote {args.out}: x={s.params.x} delta={s.params.delta} "
           f"c={s.params.c} members={len(s)}")
     return 0

@@ -58,13 +58,12 @@ class DiscrepancyReport:
         return lines
 
 
-def distinct_ints(values, hi: int | None = None, name: str = "elements") -> np.ndarray:
+def distinct_ints(values, hi: int, name: str = "elements") -> np.ndarray:
     """The distinct integers among ``values``, ascending, as int64;
-    raises ValueError unless they lie in [1, hi] (hi None: no cap)."""
+    raises ValueError unless they lie in [1, hi]."""
     arr = np.asarray(sorted(set(int(v) for v in values)), dtype=np.int64)
-    if arr.size and (arr[0] < 1 or (hi is not None and arr[-1] > hi)):
-        span = "[1, inf)" if hi is None else f"[1, {hi}]"
-        raise ValueError(f"{name} must lie in {span}")
+    if arr.size and not 1 <= arr[0] <= arr[-1] <= hi:
+        raise ValueError(f"{name} must lie in [1, {hi}]")
     return arr
 
 

@@ -15,12 +15,13 @@ All chain comparisons are exact integer comparisons
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import combinations, groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -58,16 +59,14 @@ class LGParams:
 
 
 class LGSet:
-    """Sorted member list with O(1) membership lookup and a lazily built
+    """Sorted member list, searched by bisection, and a lazily built
     divisor map.  Members must be distinct integers in [2, x]."""
 
     def __init__(self, params: LGParams, members):
         self.params = params
-        self.members = sorted(int(n) for n in members)
-        self.member_set = frozenset(self.members)
-        if len(self.member_set) != len(self.members) or (
-            self.members and not 2 <= self.members[0] <= self.members[-1] <= params.x
-        ):
+        self.members = m = sorted(int(n) for n in members)
+        # strictly increasing: sorted and no duplicates
+        if not all(map(operator.lt, m, m[1:])) or (m and not 2 <= m[0] <= m[-1] <= params.x):
             raise ValueError(f"members must be distinct integers in [2, {params.x}]")
         self._divisors = None  # (div, disjoint), see multiples_disjoint
 
@@ -116,7 +115,8 @@ class LGSet:
         return len(self.members)
 
     def __contains__(self, n):
-        return n in self.member_set
+        i = bisect_left(self.members, n)
+        return i < len(self.members) and self.members[i] == n
 
     def __eq__(self, other):
         if not isinstance(other, LGSet):
@@ -188,7 +188,7 @@ def construct(params: LGParams, table: PrimeTable) -> LGSet:
     return LGSet(params, members)
 
 
-def find_divisor(m: int, lgset: LGSet, table: PrimeTable):
+def find_divisor(m: int, lgset: LGSet):
     """The unique member of N dividing m, or None."""
     x = lgset.params.x
     if not 1 <= m <= x:
@@ -203,7 +203,9 @@ def verify_pairwise_lcm(lgset: LGSet) -> PairwiseLcmReport:
     Equivalent multiple-count formulation: a violating pair divides a
     common m <= x (namely its lcm), so it suffices to find integers
     m <= x with two or more member divisors.  The divisor map decides
-    that; the pairs are listed only when it finds an overlap.
+    that; the pairs are listed only when it finds an overlap, each in
+    the group of m = lcm(a, b): the groups come in ascending m, and no
+    common multiple of a and b is smaller than their lcm.
     """
     x = lgset.params.x
     members = lgset.members
@@ -222,15 +224,10 @@ def verify_pairwise_lcm(lgset: LGSet) -> PairwiseLcmReport:
     ms = np.concatenate(ks) * qs
     order = np.argsort(ms, kind="stable")
     violations = []
-    seen = set()
     pairs = zip(ms[order].tolist(), qs[order].tolist())
-    for _, group in groupby(pairs, key=itemgetter(0)):
+    for m, group in groupby(pairs, key=operator.itemgetter(0)):
         divs = [q for _, q in group]
-        for a, b in combinations(divs, 2):
-            l = math.lcm(a, b)
-            if l <= x and (a, b) not in seen:
-                seen.add((a, b))
-                violations.append((a, b, l))
+        violations += [(a, b, m) for a, b in combinations(divs, 2) if math.lcm(a, b) == m]
     return PairwiseLcmReport(pair_count, violations)
 
 
@@ -282,12 +279,10 @@ def choose_cutoff(lgset: LGSet, epsilon: float) -> float:
 
 
 def with_cutoff(lgset: LGSet, c: float) -> LGSet:
-    """Same member list under params with cutoff exponent c."""
-    out = LGSet.__new__(LGSet)
+    """Same member list, and divisor map if built, under params with
+    cutoff exponent c."""
+    out = copy.copy(lgset)
     out.params = replace(lgset.params, c=c)
-    out.members = lgset.members
-    out.member_set = lgset.member_set
-    out._divisors = lgset._divisors
     return out
 
 

@@ -103,15 +103,7 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
 
 
 def largest_prime_factor(n: int, table: PrimeTable) -> int:
-    _check_range(n, table)
-    spf = table.smallest_factor
-    m = n
-    p = 2
-    while m > 1:
-        p = int(spf[m])
-        while m % p == 0:
-            m //= p
-    return p
+    return factorize(n, table).factors[-1][0]  # factors ascend
 
 
 def is_smooth(n: int, y: float, table: PrimeTable) -> bool:

@@ -65,8 +65,6 @@ class WeightedSet:
 
 def _exact_sum(values) -> float:
     arr = np.asarray(values)
-    if arr.size == 0:
-        return 0.0
     if np.issubdtype(arr.dtype, np.integer):
         return float(arr.sum())
     return math.fsum(arr.tolist())

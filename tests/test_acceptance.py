@@ -81,7 +81,7 @@ def test_criterion_1_pairwise_lcm(grid_sets):
     )
 
 
-def test_criterion_2_unique_divisor(grid_sets, table100k):
+def test_criterion_2_unique_divisor(grid_sets):
     mismatches = 0
     multi = 0
     for (x, d), s in grid_sets.items():
@@ -93,7 +93,7 @@ def test_criterion_2_unique_divisor(grid_sets, table100k):
             if len(divisors_of[m]) > 1:
                 multi += 1
             expected = divisors_of[m][0] if divisors_of[m] else None
-            if find_divisor(m, s, table100k) != expected:
+            if find_divisor(m, s) != expected:
                 mismatches += 1
     report(2, multi == 0 and mismatches == 0, f"multi={multi} mismatches={mismatches}")
 
@@ -196,7 +196,7 @@ def test_criterion_7_smoothness_crux(grid_sets, table100k):
         n1 = set(part.n1)
         y = real_pow(x, theta)
         for m in range(1, x + 1):
-            q = find_divisor(m, s, table100k)
+            q = find_divisor(m, s)
             if q is None:
                 continue
             if is_smooth(m, y, table100k) != (q in n1):

@@ -226,11 +226,17 @@ def test_theorem2_json(tmp_path):
     assert isinstance(doc["report"]["conclusion_holds"], bool)
 
 
-def test_out_path_unwritable(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [["coverage"], ["build"], ["sieve-check", "--size", "20"]],
+    ids=lambda argv: argv[0],
+)
+def test_out_path_unwritable(tmp_path, capsys, argv):
     assert run_cli(
-        "coverage", "--x", "100", "--delta", "0.2",
-        "--out", str(tmp_path / "no" / "such" / "dir.csv")
+        *argv, "--x", "100", "--delta", "0.2",
+        "--out", str(tmp_path / "no" / "such" / "dir.out")
     ) == 3
+    assert capsys.readouterr().err.startswith("lgsieve:")
 
 
 def test_table_limit_env(tmp_path, monkeypatch):

@@ -189,8 +189,8 @@ def test_fft_length_is_least_5_smooth():
 def test_pair_counts_brute_force():
     rng = random.Random(3)
     x = 300
-    A = distinct_ints(rng.sample(range(1, 151), 60))
-    B = distinct_ints(rng.sample(range(1, 151), 45))
+    A = distinct_ints(rng.sample(range(1, 151), 60), 150)
+    B = distinct_ints(rng.sample(range(1, 151), 45), 150)
     sums = np.zeros(x + 1, dtype=np.int64)
     diffs = np.zeros(x + 1, dtype=np.int64)
     for a in A.tolist():
@@ -208,7 +208,7 @@ def test_pair_counts_brute_force():
 
 def test_pair_counts_rejects_sums_above_x():
     with pytest.raises(ValueError):
-        _pair_counts(distinct_ints([1, 60]), distinct_ints([41]), 100)
+        _pair_counts(distinct_ints([1, 60], 100), distinct_ints([41], 100), 100)
 
 
 @pytest.mark.parametrize("shift, what", [(0.3, "residual"), (1.0, "total")])
@@ -222,7 +222,7 @@ def test_pair_counts_certificate_raises(monkeypatch, shift, what, sums):
         return r
 
     monkeypatch.setattr(discrepancy.np.fft, "irfft", off_by)
-    A = distinct_ints(range(1, 40, 3))
+    A = distinct_ints(range(1, 40, 3), 100)
     with pytest.raises(RuntimeError, match=what):
         _pair_counts(A, A if sums else None, 100)
 

@@ -115,23 +115,31 @@ def test_15_not_member(set100):
     assert 15 not in set100
 
 
+@pytest.mark.parametrize("name", ["set100", "set10k"])
+def test_membership_matches_set_oracle(request, name):
+    s = request.getfixturevalue(name)
+    oracle = set(s.members)
+    for n in range(s.params.x + 2):
+        assert (n in s) == (n in oracle), n
+
+
 def test_membership_oracle_10k(set10k, table10k):
     assert set10k.members == brute_force_members(10**4, 0.1, table10k)
 
 
 @pytest.mark.parametrize("m,expected", [(70, 35), (6, None), (1, None), (97, 97)])
-def test_find_divisor_examples(set100, table1k, m, expected):
-    assert find_divisor(m, set100, table1k) == expected
+def test_find_divisor_examples(set100, m, expected):
+    assert find_divisor(m, set100) == expected
 
 
-def test_find_divisor_out_of_range(set100, table1k):
+def test_find_divisor_out_of_range(set100):
     with pytest.raises(ValueError):
-        find_divisor(0, set100, table1k)
+        find_divisor(0, set100)
     with pytest.raises(ValueError):
-        find_divisor(101, set100, table1k)
+        find_divisor(101, set100)
 
 
-def test_find_divisor_against_full_scan(set100, table1k):
+def test_find_divisor_against_full_scan(set100):
     x = 100
     divisors_of = {m: [] for m in range(1, x + 1)}
     for q in set100.members:
@@ -140,7 +148,7 @@ def test_find_divisor_against_full_scan(set100, table1k):
     for m in range(1, x + 1):
         assert len(divisors_of[m]) <= 1  # unique-divisor property
         expected = divisors_of[m][0] if divisors_of[m] else None
-        assert find_divisor(m, set100, table1k) == expected
+        assert find_divisor(m, set100) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -286,13 +294,13 @@ def test_overlapping_set_has_no_divisor_map(table1k):
     with pytest.raises(ValueError, match="lgsieve verify"):
         coverage(s, 1.0, table1k)
     with pytest.raises(ValueError, match="not LG"):
-        find_divisor(55, s, table1k)
+        find_divisor(55, s)
     part = partition(s, 0.5, 1.0, table1k)
     with pytest.raises(ValueError, match="not LG"):
         sieve_report(WeightedSet(100, {55: 1.0}), part, s, 0.2, table1k)
 
 
-@pytest.mark.parametrize("members", [[1, 97], [11, 101], [11, 11]])
+@pytest.mark.parametrize("members", [[1, 97], [11, 101], [11, 11], [55, 11, 55]])
 def test_lgset_rejects_bad_members(members):
     with pytest.raises(ValueError):
         LGSet(LGParams(100, 0.2), members)
@@ -303,8 +311,8 @@ def test_coverage_full_cutoff(set100, table1k):
     assert rep.covered_count + rep.exceptional_count == 100
     assert rep.members_below_cutoff == 22
     # m = 1 and m = 6 are exceptional
-    assert find_divisor(1, set100, table1k) is None
-    assert find_divisor(6, set100, table1k) is None
+    assert find_divisor(1, set100) is None
+    assert find_divisor(6, set100) is None
     direct = sum(
         1
         for m in range(1, 101)
@@ -449,6 +457,16 @@ def test_pair_counting_bound(set100, C):
             1 for b in C for c in C if b != c and (b - c) % q == 0
         )
     assert total <= len(C) ** 2 - len(C)
+
+
+def test_with_cutoff_changes_only_c():
+    s = LGSet(LGParams(100, 0.2, 0.8), [11, 13, 35, 97])
+    div = s.divisor_map()  # built before the copy
+    t = with_cutoff(s, 0.9)
+    assert (s.params.c, t.params.c) == (0.8, 0.9)
+    assert t.params == LGParams(100, 0.2, 0.9)
+    assert t.members is s.members
+    assert t.divisor_map() is div and s.divisor_map() is div
 
 
 def test_json_roundtrip(tmp_path, set100):

@@ -103,7 +103,7 @@ def test_smoothness_crux_exhaustive_1k(table1k, theta):
     n1 = set(part.n1)
     y = real_pow(x, theta)
     for m in range(1, x + 1):
-        q = find_divisor(m, s, table1k)
+        q = find_divisor(m, s)
         if q is None:
             continue
         assert is_smooth(m, y, table1k) == (q in n1)

@@ -75,3 +75,37 @@ def test_residue_identity_never_reads_the_weights_engine():
     names = _names_reached("smoothcount.py", "residue_convolution_identity_ok")
     assert "bincount" in names  # the walk does see the function body
     assert not names & {"_pair_counts", "sumset_weights", "difference_weights", "fft"}
+
+
+def _unused_parameters(tree):
+    """(function, parameter) for every parameter its function never reads."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [(name, p.arg) for p in params if p is not None and p.arg not in read]
+    return found
+
+
+# perfbench/workloads.py still passes coverage a table; the parameter goes
+# with that pin (ROADMAP open item 1)
+UNUSED_PARAMETERS_ALLOWED = {("lgset.py", "coverage", "table")}
+
+
+def test_no_unused_parameters():
+    found = {
+        (path.name, func, param)
+        for path in sorted(SRC.glob("*.py"))
+        for func, param in _unused_parameters(ast.parse(path.read_text(), str(path)))
+    }
+    assert found == UNUSED_PARAMETERS_ALLOWED
