@@ -37,7 +37,6 @@ from .smoothcount import (
     SmoothPartition,
     WeightedSet,
     difference_weights,
-    divisor_weighted_sums,
     partition,
     sieve_report,
     sumset_weights,

@@ -162,18 +162,27 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def _load_or_build(args):
+    """(set, prime table): the table construct was built on, or None for
+    a set loaded from --set, since build and verify read no table."""
     if args.set_path:
         s = lg.load_json(args.set_path)
         if getattr(args, "c", None) is not None:
             s = lg.with_cutoff(s, args.c)
-        table = build_prime_table(s.params.x, ceiling=_table_ceiling())
-        return s, table
+        return s, None
     # LGParams checks delta < c before the table is built
     params = lg.LGParams(args.x, args.delta, args.c or 1.0)
     table = build_prime_table(args.x, ceiling=_table_ceiling())
     s = lg.construct(params, table)
     if args.c is None:
         s = lg.with_cutoff(s, lg.choose_cutoff(s, args.epsilon))
+    return s, table
+
+
+def _set_and_table(args):
+    """The set and a prime table of size x, for commands that read one."""
+    s, table = _load_or_build(args)
+    if table is None:
+        table = build_prime_table(s.params.x, ceiling=_table_ceiling())
     return s, table
 
 
@@ -209,7 +218,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    s, table = _load_or_build(args)
+    s, table = _set_and_table(args)
     cutoff = args.cutoff if args.cutoff is not None else s.params.c
     rep = lg.coverage(s, cutoff, table)
     return _emit([lg.COVERAGE_CSV_HEADER, rep.csv_row()], args.out)
@@ -232,7 +241,7 @@ def _cmd_dickman(args) -> int:
 
 
 def _cmd_sieve_check(args) -> int:
-    s, table = _load_or_build(args)
+    s, table = _set_and_table(args)
     x = s.params.x
     cutoff = s.params.c
     cov = lg.coverage(s, cutoff, table)
@@ -274,7 +283,7 @@ def _make_weights(kind, x, rng) -> smoothcount.WeightedSet:
 
 
 def _cmd_theorem2(args) -> int:
-    s, table = _load_or_build(args)
+    s, table = _set_and_table(args)
     part = smoothcount.partition(s, args.theta, s.params.c, table)
     ws = _make_weights(args.weights, s.params.x, random.Random(args.seed))
     rep = smoothcount.sieve_report(ws, part, s, args.gamma, table)
@@ -306,10 +315,10 @@ def _sumset_setup(args):
             raise ValueError("--lg-at-2x cannot be combined with --set")
         big = argparse.Namespace(**vars(args))
         big.x = 2 * args.x
-        s, table = _load_or_build(big)
+        s, table = _set_and_table(big)
         A, B = _sample_sets(args, args.x)
     else:
-        s, table = _load_or_build(args)
+        s, table = _set_and_table(args)
         A, B = _sample_sets(args, s.params.x // 2)
     return s, table, A, B
 

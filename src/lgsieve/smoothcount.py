@@ -4,7 +4,9 @@ bounds, and the sumset / difference experiments built on them.
 The engine is the two-sided squeeze: the weight mass on multiples of
 smooth members (lhs1) never exceeds the total smooth mass, which in
 turn never exceeds sigma minus the mass tau on multiples of non-smooth
-members.  When both divisor-sum hypotheses hold with slack gamma, the
+members.  On an LG set each m <= x has at most one member divisor, so
+tau is the same number as lhs2, and one read of the divisor map gives
+both.  When both divisor-sum hypotheses hold with slack gamma, the
 smooth mass lands within 2*gamma*sigma of sigma * sum1.
 """
 
@@ -59,8 +61,7 @@ class WeightedSet:
         if np.any(arr < 0) or not np.all(np.isfinite(arr.astype(float))):
             raise ValueError("weights must be finite and nonnegative")
         self.array = arr
-        self.support = np.flatnonzero(arr)
-        self.sigma = _exact_sum(arr[self.support])
+        self.sigma = _exact_sum(arr)
 
 
 def _exact_sum(values) -> float:
@@ -110,19 +111,6 @@ def partition(lgset: LGSet, theta: float, cutoff: float, table: PrimeTable) -> S
     )
 
 
-def divisor_weighted_sums(weights: WeightedSet, part: SmoothPartition, lgset: LGSet):
-    """(lhs1, lhs2): weight mass on multiples of each member class,
-    accumulated by iterating multiples, never by factorizing."""
-    if weights.x != lgset.params.x:
-        raise ValueError(
-            f"weight bound {weights.x} != set bound {lgset.params.x}"
-        )
-    arr = weights.array
-    lhs1 = math.fsum(float(arr[q::q].sum()) for q in part.n1)
-    lhs2 = math.fsum(float(arr[q::q].sum()) for q in part.n2)
-    return lhs1, lhs2
-
-
 def sieve_report(
     weights: WeightedSet,
     part: SmoothPartition,
@@ -137,21 +125,21 @@ def sieve_report(
     if not 0 < gamma < 1:
         raise ValueError(f"gamma out of (0,1): {gamma}")
     x = lgset.params.x
-    lhs1, lhs2 = divisor_weighted_sums(weights, part, lgset)
+    if weights.x != x:
+        raise ValueError(f"weight bound {weights.x} != set bound {x}")
+    arr = weights.array
     sigma = weights.sigma
+    # class of m's unique member divisor: 1 in N1, 2 in N2, 0 for none
+    # or a member above the cutoff
+    cls = np.zeros(x + 1, dtype=np.int8)
+    cls[part.n1] = 1
+    cls[part.n2] = 2
+    code = cls[lgset.divisor_map()]
+    lhs1 = _exact_sum(arr[code == 1])
+    lhs2 = tau = _exact_sum(arr[code == 2])
     hyp1 = lhs1 > (1.0 - gamma) * sigma * part.sum1
     hyp2 = lhs2 > (1.0 - gamma) * sigma * part.sum2
-
-    lpf = table.largest_factor_array()
-    support = weights.support
-    smooth_sel = support[lpf[support] <= part.y]
-    smooth_total = _exact_sum(weights.array[smooth_sel])
-
-    # tau: mass on m whose unique member divisor is in N2
-    is_n2 = np.zeros(x + 1, dtype=bool)
-    is_n2[part.n2] = True
-    tau_sel = support[is_n2[lgset.divisor_map()[support]]]
-    tau = _exact_sum(weights.array[tau_sel])
+    smooth_total = _exact_sum(arr[table.largest_factor_array()[: x + 1] <= part.y])
 
     center = sigma * part.sum1
     bound = 2.0 * gamma * sigma

@@ -246,6 +246,20 @@ def test_table_limit_env(tmp_path, monkeypatch):
     ) == 2  # resource error surfaces as a usage-level failure
 
 
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_loaded_set_builds_no_table(tmp_path, monkeypatch, capsys, command):
+    # build and verify never read a prime table, so a loaded set gets none
+    path, copy = tmp_path / "set.json", tmp_path / "copy.json"
+    assert run_cli("build", "--x", "100", "--delta", "0.2", "--out", str(path)) == 0
+    monkeypatch.setenv("LGSIEVE_TABLE_LIMIT", "50")
+    extra = ["--out", str(copy)] if command == "build" else []
+    assert run_cli(command, "--set", str(path), *extra) == 0
+    assert command != "build" or load_json(copy) == load_json(path)
+    capsys.readouterr()
+    assert run_cli("coverage", "--set", str(path)) == 2  # coverage reads the table
+    assert "limit" in capsys.readouterr().err
+
+
 _SET = ["--x", "10000", "--delta", "0.05"]
 _T3 = ["--theta", "0.5", "--gamma", "0.2"]
 _SIEVE = ["sieve-check", *_SET, "--size", "2000", "--seed", "3"]

@@ -13,7 +13,6 @@ from lgsieve import (
     construct,
     coverage,
     difference_weights,
-    divisor_weighted_sums,
     find_divisor,
     is_smooth,
     partition,
@@ -25,6 +24,7 @@ from lgsieve import (
 from lgsieve.powers import largest_int_below_pow, real_pow
 from lgsieve.primes import build_prime_table, largest_prime_factor
 from lgsieve import smoothcount
+from lgsieve.cli import _make_weights
 from lgsieve.smoothcount import residue_convolution_identity_ok
 
 
@@ -122,37 +122,95 @@ def test_weighted_set_validation():
         WeightedSet(10, bad)
     ws = WeightedSet(10, {3: 1.5, 7: 2.5})
     assert ws.sigma == 4.0
-    assert list(ws.support) == [3, 7]
+    assert list(np.flatnonzero(ws.array)) == [3, 7]
 
 
-def test_divisor_weighted_sums_unit_weights(set100, table1k):
+def test_sieve_report_unit_weights(set100, table1k):
     part = partition(set100, 0.6, 1.0, table1k)
     w = np.ones(101)
     w[0] = 0
-    ws = WeightedSet(100, w)
-    lhs1, lhs2 = divisor_weighted_sums(ws, part, set100)
-    assert lhs1 == sum(100 // q for q in part.n1)
-    assert lhs2 == sum(100 // q for q in part.n2)
+    rep = sieve_report(WeightedSet(100, w), part, set100, 0.2, table1k)
+    assert rep.lhs1 == sum(100 // q for q in part.n1)
+    assert rep.lhs2 == rep.tau == sum(100 // q for q in part.n2)
 
 
-def test_divisor_weighted_sums_indicator(set100, table1k):
+def test_sieve_report_indicator(set100, table1k):
     part = partition(set100, 0.6, 1.0, table1k)
     ws = WeightedSet(100, {35: 1.0, 70: 1.0})
-    lhs1, lhs2 = divisor_weighted_sums(ws, part, set100)
-    assert (lhs1, lhs2) == (2.0, 0.0)
+    rep = sieve_report(ws, part, set100, 0.2, table1k)
+    assert (rep.lhs1, rep.lhs2, rep.tau) == (2.0, 0.0, 0.0)
 
 
-def test_divisor_weighted_sums_zero(set100, table1k):
+def test_sieve_report_zero_weights(set100, table1k):
     part = partition(set100, 0.6, 1.0, table1k)
-    ws = WeightedSet(100, np.zeros(101))
-    assert divisor_weighted_sums(ws, part, set100) == (0.0, 0.0)
+    rep = sieve_report(WeightedSet(100, np.zeros(101)), part, set100, 0.2, table1k)
+    assert (rep.sigma, rep.lhs1, rep.lhs2, rep.tau, rep.smooth_total) == (0.0,) * 5
 
 
-def test_divisor_weighted_sums_bound_mismatch(set100, table1k):
+def test_sieve_report_bound_mismatch(set100, table1k):
     part = partition(set100, 0.6, 1.0, table1k)
     ws = WeightedSet(50, {35: 1.0})
-    with pytest.raises(ValueError):
-        divisor_weighted_sums(ws, part, set100)
+    with pytest.raises(ValueError, match="weight bound 50 != set bound 100"):
+        sieve_report(ws, part, set100, 0.2, table1k)
+
+
+def divisor_sums_oracle(ws, part):
+    """(lhs1, lhs2) by the per-member walk over multiples, which the
+    divisor-map read replaced: each class's elements summed once, as
+    Python ints for integer weights and by fsum for float ones, so the
+    result is the correctly rounded sum of the same multiset."""
+    arr, x = ws.array, ws.x
+    exact = int if np.issubdtype(arr.dtype, np.integer) else float
+    total = math.fsum if exact is float else sum
+
+    def mass(members):
+        return float(total(exact(arr[m]) for q in members for m in range(q, x + 1, q)))
+
+    return mass(part.n1), mass(part.n2)
+
+
+def assert_sieve_matches_oracle(ws, part, lgset, table):
+    rep = sieve_report(ws, part, lgset, 0.2, table)
+    lhs1, lhs2 = divisor_sums_oracle(ws, part)
+    assert rep.lhs1 == lhs1
+    assert rep.lhs2 == rep.tau == lhs2
+
+
+@pytest.mark.parametrize("kind", ["uniform", "random-dense", "random-sparse", "indicator"])
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.6, 1.0])
+@pytest.mark.parametrize("cutoff", [1.0, 0.8])
+@pytest.mark.parametrize("which", ["set100", "set10k"])
+def test_sieve_report_matches_per_member_walk(request, table10k, which, cutoff, theta, kind):
+    s = request.getfixturevalue(which)
+    part = partition(s, theta, cutoff, table10k)
+    ws = _make_weights(kind, s.params.x, random.Random(7))
+    assert_sieve_matches_oracle(ws, part, s, table10k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.integers(min_value=4, max_value=10**4),
+    delta=st.sampled_from([0.05, 0.1, 0.2]),
+    theta=st.floats(min_value=0.0, max_value=0.99),
+    cutoff=st.floats(min_value=0.0, max_value=0.99),
+    seed=st.integers(min_value=0, max_value=2**32),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    integer=st.booleans(),
+)
+def test_sieve_report_matches_per_member_walk_property(
+    table10k, x, delta, theta, cutoff, seed, density, integer
+):
+    s = construct(LGParams(x, delta), table10k)
+    # theta and the cutoff mapped into (delta, 1]
+    part = partition(s, 1 - (1 - delta) * theta, 1 - (1 - delta) * cutoff, table10k)
+    rng = np.random.default_rng(seed)
+    if integer:
+        w = rng.integers(0, 10**6, size=x + 1)
+    else:  # magnitudes over ten decades, so rounding order matters
+        w = rng.random(x + 1) * 10.0 ** rng.uniform(-5, 5, size=x + 1)
+    w[rng.random(x + 1) >= density] = 0
+    w[0] = 0
+    assert_sieve_matches_oracle(WeightedSet(x, w), part, s, table10k)
 
 
 def test_sumset_trivial():
@@ -164,7 +222,7 @@ def test_sumset_trivial():
 
 def test_sumset_hand_convolution():
     ws = sumset_weights([1, 2], [1, 2], 100)
-    assert {n: int(ws.array[n]) for n in ws.support} == {2: 1, 3: 2, 4: 1}
+    assert {n: int(ws.array[n]) for n in np.flatnonzero(ws.array)} == {2: 1, 3: 2, 4: 1}
     assert ws.sigma == 4.0
 
 
@@ -204,7 +262,7 @@ def test_residue_convolution_identity_detects_moved_weight(seed):
     moduli = range(1, 101)
     assert residue_convolution_identity_ok(ws, A, B, moduli)
     q = rng.randrange(2, 101)
-    n = next(int(m) for m in ws.support if m % q == 0 and m < x)
+    n = next(int(m) for m in np.flatnonzero(ws.array) if m % q == 0 and m < x)
     arr = ws.array.copy()
     arr[n] -= 1
     arr[n + 1] += 1
@@ -254,7 +312,8 @@ def test_residue_identity_matches_oracle_property(x, seed, da, db, nq, move, top
     moduli = [rng.choice(pool) if rng.random() < 0.3 else rng.randint(1, 2 * x)
               for _ in range(nq)]
     ws = sumset_weights(A, B, x)
-    below = ws.support[ws.support < x]
+    support = np.flatnonzero(ws.array)
+    below = support[support < x]
     if move and below.size:
         ws = _moved_unit(ws, int(rng.choice(below.tolist())))
     if top:  # elements may reach x, above the range the weights were built from
@@ -382,7 +441,7 @@ def test_weights_match_enumeration_oracle_property(x, seed, da, db):
 
 def test_difference_hand_example():
     ws = difference_weights([1, 2, 3], 100)
-    assert {n: int(ws.array[n]) for n in ws.support} == {1: 2, 2: 1}
+    assert {n: int(ws.array[n]) for n in np.flatnonzero(ws.array)} == {1: 2, 2: 1}
     assert ws.sigma == 3.0
 
 
@@ -418,6 +477,19 @@ def test_sieve_report_uniform_10k(set10k, table10k):
     # the conclusion bounds |Psi(x, x^theta) - x * sum1|
     assert abs(rep.smooth_total - rep.center) < rep.bound
     assert rep.lhs1 <= rep.smooth_total <= rep.sigma - rep.tau
+
+
+def test_sieve_report_smooth_total_at_integer_bound(table10k):
+    # y = x^(1/2) = 97 is the largest prime factor of 97 multiples of 97,
+    # which count as smooth; table10k is larger than x
+    x = 97**2
+    s = construct(LGParams(x, 0.1), table10k)
+    part = partition(s, 0.5, 1.0, table10k)
+    assert part.y == 97.0
+    w = np.ones(x + 1, dtype=np.int64)
+    w[0] = 0
+    rep = sieve_report(WeightedSet(x, w), part, s, 0.2, table10k)
+    assert rep.smooth_total == sum(is_smooth(m, 97.0, table10k) for m in range(1, x + 1))
 
 
 def test_sieve_report_degenerate_support(set100, table1k):

@@ -77,6 +77,27 @@ def test_residue_identity_never_reads_the_weights_engine():
     assert not names & {"_pair_counts", "sumset_weights", "difference_weights", "fft"}
 
 
+def test_sieve_report_reads_classes_from_the_divisor_map():
+    # lhs1, lhs2 and tau come from one divisor-map read; the walk over
+    # each member's multiples (arr[q::q]) is a test oracle only
+    names = _names_reached("smoothcount.py", "sieve_report")
+    assert "divisor_map" in names
+    tree = ast.parse((SRC / "smoothcount.py").read_text())
+    reached = [
+        n for n in tree.body
+        if isinstance(n, ast.FunctionDef) and (n.name == "sieve_report" or n.name in names)
+    ]
+    assert {"sieve_report", "_exact_sum"} <= {n.name for n in reached}
+    loops = [
+        (func.name, node.lineno)
+        for func in reached
+        for node in ast.walk(func)
+        if isinstance(node, (ast.For, ast.While, ast.comprehension))
+        or (isinstance(node, ast.Slice) and node.step is not None)
+    ]
+    assert loops == []
+
+
 def _unused_parameters(tree):
     """(function, parameter) for every parameter its function never reads."""
     found = []
