@@ -29,8 +29,6 @@ from .primes import (
     is_smooth,
     largest_prime_factor,
     psi_count,
-    read_spf_cache,
-    write_spf_cache,
 )
 from .smoothcount import (
     SieveReport,

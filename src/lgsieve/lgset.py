@@ -26,7 +26,7 @@ from itertools import combinations, groupby
 import numpy as np
 
 from .powers import floor_pow, largest_int_below_pow
-from .primes import PrimeTable
+from .primes import INT32_MAX, PrimeTable
 
 COVERAGE_CSV_HEADER = "x,delta,cutoff,covered,exceptional,harmonic_sum,epsilon_prime"
 
@@ -48,8 +48,8 @@ class LGParams:
     epsilon_target: float = 0.5
 
     def __post_init__(self):
-        if self.x < 4:
-            raise ValueError(f"x must be >= 4, got {self.x}")
+        if not 4 <= self.x <= INT32_MAX:
+            raise ValueError(f"x must be in [4, {INT32_MAX}], got {self.x}")
         if not 0 < self.delta < self.c <= 1:
             raise ValueError(
                 f"need 0 < delta < c <= 1, got delta={self.delta}, c={self.c}"
@@ -80,7 +80,7 @@ class LGSet:
             i = bisect_right(members, int(x**SLICE_MAX_EXPONENT))
             for q in members[:i]:
                 div[q::q] = q
-            qs = np.asarray(members, dtype=np.int32)  # members <= x < 2**31
+            qs = np.asarray(members, dtype=np.int32)  # members <= x, which LGParams caps
             big = qs[i:]
             # Python ints: an int32 big[0] * k overflows near x = 2**31 - 1
             kmax = x // members[i] if i < len(members) else 0

@@ -9,14 +9,12 @@ concurrent reads.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_TABLE_CEILING = 10**8
-
-_SPF_MAGIC = b"LGSPF1"
+INT32_MAX = 2**31 - 1  # tables, divisor maps and residues are int32
 
 
 class ResourceLimitError(RuntimeError):
@@ -67,7 +65,7 @@ class Factorization:
 def build_prime_table(limit: int, ceiling: int = DEFAULT_TABLE_CEILING) -> PrimeTable:
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    ceiling = min(ceiling, 2**31 - 1)  # int32 entries, as in the cache
+    ceiling = min(ceiling, INT32_MAX)  # int32 entries
     if limit > ceiling:
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds ceiling {ceiling}"
@@ -125,41 +123,3 @@ def psi_count(x: int, y, table: PrimeTable):
     counts = cum[np.clip(np.floor(y), 0, cum.size - 1).astype(np.int64)]
     return int(counts) if np.ndim(counts) == 0 else counts
 
-
-def write_spf_cache(table: PrimeTable, path) -> None:
-    """Binary cache: magic, little-endian 64-bit limit, then the
-    smallest-factor entries as little-endian 32-bit integers."""
-    with open(path, "wb") as fh:
-        fh.write(_SPF_MAGIC)
-        fh.write(struct.pack("<Q", table.limit))
-        fh.write(table.smallest_factor.astype("<i4").tobytes())
-
-
-def read_spf_cache(path) -> PrimeTable:
-    """Load a cache written by ``write_spf_cache``; raises ValueError
-    unless entry n is the smallest prime factor of n for every n."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_SPF_MAGIC))
-        if magic != _SPF_MAGIC:
-            raise ValueError(f"bad cache magic {magic!r}")
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ValueError(f"corrupt cache: limit field has {len(header)} of 8 bytes")
-        (limit,) = struct.unpack("<Q", header)
-        data = fh.read()
-    spf = np.frombuffer(data, dtype="<i4")  # read-only, as a table should be
-    if spf.size != limit + 1:
-        raise ValueError(f"cache truncated: {spf.size} entries for limit {limit}")
-    if limit < 2 or spf[0] != 0 or spf[1] != 0:
-        raise ValueError("corrupt cache: need limit >= 2 and entries 0 and 1 zero")
-    n, p = np.arange(2, limit + 1, dtype=np.int64), spf[2:]
-    if not np.all((2 <= p) & (p <= n)):
-        raise ValueError("corrupt cache: need 2 <= spf[n] <= n")
-    if np.any(n % p) or np.any(spf[p] != p):
-        raise ValueError("corrupt cache: spf[n] must be a divisor of n that is its own spf")
-    # sieve pass: every multiple of p from p^2 on has spf <= p, so no
-    # composite keeps a larger prime divisor or poses as prime
-    for q in range(2, math.isqrt(limit) + 1):
-        if spf[q] == q and spf[q * q :: q].max() > q:
-            raise ValueError(f"corrupt cache: a multiple of {q} has a larger spf")
-    return PrimeTable(int(limit), spf, n[p == n])

@@ -21,7 +21,7 @@ from . import dickman
 from .discrepancy import _pair_counts, distinct_ints, variance_report
 from .lgset import LGSet, coverage, largest_int_below_pow
 from .powers import real_pow
-from .primes import PrimeTable
+from .primes import INT32_MAX, PrimeTable
 
 
 @dataclass
@@ -187,7 +187,6 @@ def difference_weights(A, x: int) -> WeightedSet:
     return WeightedSet(x, w)
 
 
-_INT32_MAX = 2**31 - 1
 _BLOCK = 64  # moduli whose residues are computed together
 
 
@@ -210,15 +209,15 @@ def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli) -> bool:
     (-b) mod q = (q - 1) - ((b - 1) mod q), neither of which overflows.
     """
     x = weights.x
-    if x > _INT32_MAX:
+    if x > INT32_MAX:
         raise ValueError(f"x = {x} exceeds 2^31 - 1, the range of the int32 residues")
     Aa = distinct_ints(A, x, "A").astype(np.int32)
     Bm1 = distinct_ints(B, x, "B").astype(np.int32) - np.int32(1)
     qs = np.asarray(list(moduli))
     if qs.size and (
-        not np.issubdtype(qs.dtype, np.integer) or qs.min() < 1 or qs.max() > _INT32_MAX
+        not np.issubdtype(qs.dtype, np.integer) or qs.min() < 1 or qs.max() > INT32_MAX
     ):
-        raise ValueError(f"moduli must be integers in [1, {_INT32_MAX}]")
+        raise ValueError(f"moduli must be integers in [1, {INT32_MAX}]")
     arr = weights.array
     bufA = np.empty((_BLOCK, Aa.size), dtype=np.int32)
     bufB = np.empty((_BLOCK, Bm1.size), dtype=np.int32)

@@ -83,6 +83,14 @@ def test_load_rejects_bad_set_file(tmp_path, doc):
     assert run_cli("verify", "--set", str(path)) == 2
 
 
+def test_load_rejects_x_beyond_int32(tmp_path, capsys):
+    # rejected by LGParams before any array of x + 1 entries exists
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({**_GOOD_SET, "x": 2**31, "members": [2**31 - 1, 2**31]}))
+    assert run_cli("verify", "--set", str(path)) == 2
+    assert capsys.readouterr().err.startswith("lgsieve: x must be in [4, 2147483647]")
+
+
 def test_coverage_on_overlapping_set(tmp_path, capsys):
     path = tmp_path / "set.json"
     path.write_text(json.dumps({"x": 100, "delta": 0.2, "c": 1.0, "members": [11, 55]}))

@@ -89,6 +89,10 @@ def test_params_validation():
         LGParams(100, 0.5, c=0.4)
     with pytest.raises(ValueError):
         LGParams(100, 0.0)
+    # members and the divisor map are int32
+    with pytest.raises(ValueError, match="2147483647"):
+        LGParams(2**31, 0.1)
+    assert LGParams(2**31 - 1, 0.1).x == 2**31 - 1
 
 
 def test_construct_x100(set100, table1k):

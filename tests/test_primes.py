@@ -10,8 +10,6 @@ from lgsieve import (
     is_smooth,
     largest_prime_factor,
     psi_count,
-    read_spf_cache,
-    write_spf_cache,
 )
 
 # Frozen regression constant: Psi(10^6, 10^3), fixed by the independent
@@ -185,48 +183,3 @@ def test_psi_count_array_matches_oracle(table10k, x):
 def test_psi_full_for_large_y(table10k):
     assert psi_count(10**4, 10**4, table10k) == 10**4
 
-
-def test_spf_cache_roundtrip(tmp_path, table1k):
-    path = tmp_path / "spf.bin"
-    write_spf_cache(table1k, path)
-    loaded = read_spf_cache(path)
-    assert loaded.limit == table1k.limit
-    assert np.array_equal(loaded.smallest_factor, table1k.smallest_factor)
-    assert np.array_equal(loaded.primes, table1k.primes)
-    raw = path.read_bytes()
-    assert raw[:6] == b"LGSPF1"
-    assert int.from_bytes(raw[6:14], "little") == 1000
-
-
-def test_spf_cache_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\0" * 32)
-    with pytest.raises(ValueError):
-        read_spf_cache(path)
-
-
-@pytest.mark.parametrize(
-    "n, value",
-    [
-        (91, 13),  # a prime divisor, but not the smallest
-        (91, 91),  # a composite posing as prime
-        (98, 14),  # a divisor that is not prime
-        (97, 7),  # not a divisor
-        (91, 1),  # below 2
-        (1, 1),  # entry 1 must be 0
-        (0, 2),  # entry 0 must be 0
-        (None, 6),  # the file ends after the magic: no limit field
-        (None, 13),  # a limit field of 7 bytes
-    ],
-)
-def test_spf_cache_rejects_corrupt_entry(tmp_path, table1k, n, value):
-    path = tmp_path / "spf.bin"
-    write_spf_cache(table1k, path)
-    raw = bytearray(path.read_bytes())
-    if n is None:  # keep only the first `value` bytes
-        raw = raw[:value]
-    else:
-        raw[14 + 4 * n : 18 + 4 * n] = value.to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="corrupt cache"):
-        read_spf_cache(path)

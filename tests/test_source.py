@@ -1,9 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lgsieve"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lgsieve"
 
 
 def test_no_assert_statements():
@@ -130,3 +135,28 @@ def test_no_unused_parameters():
         for func, param in _unused_parameters(ast.parse(path.read_text(), str(path)))
     }
     assert found == UNUSED_PARAMETERS_ALLOWED
+
+
+def test_imports_only_stdlib_and_numpy():
+    # numpy is the one runtime dependency that pyproject.toml declares
+    files = sorted(SRC.glob("*.py"))
+    imported = {
+        (path.name, name.split(".")[0])
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for name in (
+            [a.name for a in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+    }
+    assert ("powers.py", "decimal") in imported  # the walk sees absolute imports
+    assert {
+        (f, m) for f, m in imported if m not in sys.stdlib_module_names and m != "numpy"
+    } == set()
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    deps = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
