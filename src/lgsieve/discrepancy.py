@@ -27,7 +27,7 @@ import numpy as np
 # largest_int_below_pow is unused here; perfbench/tests asserts this binding
 from .lgset import LGSet, coverage, largest_int_below_pow  # noqa: F401
 from .powers import real_pow
-from .primes import PrimeTable
+from .primes import INT32_MAX, PrimeTable
 
 MODULUS_CSV_HEADER = "q,sum_sq,contribution"
 
@@ -61,10 +61,56 @@ class DiscrepancyReport:
 def distinct_ints(values, hi: int, name: str = "elements") -> np.ndarray:
     """The distinct integers among ``values``, ascending, as int64;
     raises ValueError unless they lie in [1, hi]."""
-    arr = np.asarray(sorted(set(int(v) for v in values)), dtype=np.int64)
-    if arr.size and not 1 <= arr[0] <= arr[-1] <= hi:
-        raise ValueError(f"{name} must lie in [1, {hi}]")
+    arr = np.sort(np.fromiter(values, dtype=np.int64))
+    if arr.size:
+        keep = np.empty(arr.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+        arr = arr[keep]
+        if not 1 <= arr[0] <= arr[-1] <= hi:
+            raise ValueError(f"{name} must lie in [1, {hi}]")
     return arr
+
+
+def multiple_sums(w, moduli) -> np.ndarray:
+    """[w[q] + w[2q] + ... for q in moduli], by one gather over the
+    multiples, in the dtype numpy's sum gives w (int64 for integer w).
+
+    x = len(w) - 1 must be at most 2^31 - 1 and the moduli integers
+    >= 1, else ValueError; a modulus above x gives 0.  The indices k*q
+    are int32, built with np.repeat over the counts floor(x/q), and each
+    modulus's segment is summed on its own (np.add.reduceat), so no
+    running total crosses moduli.  The gather runs in pieces of at most
+    x indices.  The moduli of an LG set need one piece: no m <= x has
+    two member divisors, so sum floor(x/q) <= x.
+    """
+    w = np.asarray(w)
+    x = w.size - 1
+    if w.ndim != 1 or not 0 <= x <= INT32_MAX:
+        raise ValueError(f"weights must be one array of 1 to 2^31 entries, got shape {w.shape}")
+    qs = np.asarray(moduli, dtype=np.int64)
+    if qs.size and qs.min() < 1:
+        raise ValueError("moduli must be >= 1")
+    counts = x // qs
+    ends = np.cumsum(counts)
+    out = np.zeros(qs.size, dtype=w[:0].sum().dtype)
+    lo = 0
+    while lo < qs.size:
+        base = int(ends[lo] - counts[lo])
+        hi = int(np.searchsorted(ends, base + x, side="right"))  # > lo: counts[lo] <= x
+        c = counts[lo:hi]
+        starts = ends[lo:hi] - c - base
+        n = int(ends[hi - 1]) - base
+        if n:
+            k = np.arange(1, n + 1, dtype=np.int32)
+            k -= np.repeat(starts.astype(np.int32), c)
+            k *= np.repeat(qs[lo:hi].astype(np.int32), c)
+            vals = w[k]
+            del k
+            nz = np.flatnonzero(c)
+            out[lo + nz] = np.add.reduceat(vals, starts[nz])
+        lo = hi
+    return out
 
 
 def _fft_length(n: int) -> int:
@@ -149,9 +195,11 @@ def variance_report(
     caller-supplied-epsilon bound and the sharper measured-eps' bound.
 
     Each modulus q takes sum_a C(a, q)^2 = |C| + 2 (D[q] + D[2q] + ...)
-    from one certified difference count D of C (``_pair_counts``), so
-    the cost is one FFT plus x/q per modulus, not one residue histogram
-    per modulus.  The identity holds for any moduli, LG or not.
+    from one certified difference count D of C (``_pair_counts``), and
+    ``multiple_sums`` reads every modulus's D[q] + D[2q] + ... in one
+    gather of sum floor(x/q) entries, at most x on an LG set.  So the
+    cost is one FFT and one gather, not one residue histogram or strided
+    walk per modulus.  The identity holds for any moduli, LG or not.
 
     eps' comes from a coverage scan at the same cutoff unless the
     caller passes a precomputed value; ``table`` is passed through to
@@ -164,20 +212,18 @@ def variance_report(
     xc = real_pow(x, cutoff_exponent)
     D = _pair_counts(C, None, x)
 
+    qs = np.asarray(moduli, dtype=np.int64)
+    pairs = multiple_sums(D, qs).tolist()  # D[q] + D[2q] + ... per modulus
+    del D
     per_modulus = []
-    contribs = []
-    sum_sq_total = 0
-    pair_sum = 0
-    for q in moduli:
-        ssq = size + 2 * int(D[q::q].sum())
-        sum_sq_total += ssq
-        pair_sum += ssq - size
-        contrib = ssq - size * size / q
-        contribs.append(contrib)
-        per_modulus.append((q, ssq, contrib))
-    lhs = math.fsum(contribs)
+    for q, p in zip(moduli, pairs):
+        ssq = size + 2 * p
+        per_modulus.append((q, ssq, ssq - size * size / q))
+    pair_sum = 2 * sum(pairs)
+    sum_sq_total = size * len(moduli) + pair_sum
+    lhs = math.fsum(contrib for _, _, contrib in per_modulus)
     # same quantity via the expanded identity sum C(a,q)^2 - |C|^2 sum 1/q
-    lhs_alt = sum_sq_total - size * size * math.fsum(1.0 / q for q in moduli)
+    lhs_alt = sum_sq_total - size * size * math.fsum((1.0 / qs).tolist())
     scale = max(abs(lhs), abs(lhs_alt), 1.0)
     identity_rel_err = abs(lhs - lhs_alt) / scale
 

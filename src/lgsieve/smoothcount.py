@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dickman
-from .discrepancy import _pair_counts, distinct_ints, variance_report
+from .discrepancy import _pair_counts, distinct_ints, multiple_sums, variance_report
 from .lgset import LGSet, coverage, largest_int_below_pow
 from .powers import real_pow
 from .primes import INT32_MAX, PrimeTable
@@ -99,15 +99,15 @@ def partition(lgset: LGSet, theta: float, cutoff: float, table: PrimeTable) -> S
         raise ValueError(f"table limit {table.limit} < x = {x}")
     y = real_pow(x, theta)
     smooth = table.largest_factor_array()[small] <= y
-    n1, n2 = small[smooth].tolist(), small[~smooth].tolist()
+    recip = 1.0 / small
     return SmoothPartition(
         theta=theta,
         y=y,
         cutoff_exponent=cutoff,
-        n1=n1,
-        n2=n2,
-        sum1=math.fsum(1.0 / q for q in n1),
-        sum2=math.fsum(1.0 / q for q in n2),
+        n1=small[smooth].tolist(),
+        n2=small[~smooth].tolist(),
+        sum1=math.fsum(recip[smooth].tolist()),
+        sum2=math.fsum(recip[~smooth].tolist()),
     )
 
 
@@ -200,8 +200,8 @@ def _residues(values, col, out):
 
 def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli) -> bool:
     """Check, in exact integer arithmetic, that for every modulus q the
-    weight mass on multiples of q equals #{(a, b) : q | a + b}; the
-    right side never reads the weights.
+    weight mass on multiples of q (``multiple_sums``) equals
+    #{(a, b) : q | a + b}; the right side never reads the weights.
 
     A and B must lie in [1, weights.x] and the moduli must be integers
     in [1, 2^31 - 1], else ValueError.  The residues are int32 floor
@@ -218,7 +218,7 @@ def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli) -> bool:
         not np.issubdtype(qs.dtype, np.integer) or qs.min() < 1 or qs.max() > INT32_MAX
     ):
         raise ValueError(f"moduli must be integers in [1, {INT32_MAX}]")
-    arr = weights.array
+    lhs = multiple_sums(weights.array, qs).tolist()
     bufA = np.empty((_BLOCK, Aa.size), dtype=np.int32)
     bufB = np.empty((_BLOCK, Bm1.size), dtype=np.int32)
     for start in range(0, qs.size, _BLOCK):
@@ -227,11 +227,11 @@ def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli) -> bool:
         rA = _residues(Aa, col, bufA[: block.size])
         rB = _residues(Bm1, col, bufB[: block.size])
         np.subtract(col - np.int32(1), rB, out=rB)
-        for q, ra, rb in zip(block.tolist(), rA, rB):
+        for q, ra, rb, left in zip(block.tolist(), rA, rB, lhs[start : start + _BLOCK]):
             # residues of A are <= x, so for q > x + 1 the histogram stops
             # at x + 1 and a residue of -b beyond it clips onto that empty bin
             hist = np.bincount(ra, minlength=min(q, x + 2))
-            if int(arr[q::q].sum()) != int(hist.take(rb, mode="clip").sum()):
+            if int(left) != int(hist.take(rb, mode="clip").sum()):
                 return False
     return True
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lgsieve import LGParams, LGSet, coverage, variance_report
 from lgsieve import discrepancy
-from lgsieve.discrepancy import _fft_length, _pair_counts, distinct_ints
+from lgsieve.discrepancy import _fft_length, _pair_counts, distinct_ints, multiple_sums
 
 
 @dataclass(frozen=True)
@@ -234,3 +234,106 @@ def test_variance_report_certificate_raises(monkeypatch, set100):
     )
     with pytest.raises(RuntimeError):
         variance_report(range(1, 51), set100, 1.0, 0.4, eps_prime=0.34)
+
+
+def multiple_sums_oracle(w, moduli):
+    """One strided walk per modulus: the loop multiple_sums replaced."""
+    return [int(w[q::q].sum()) for q in moduli]
+
+
+@st.composite
+def weights_and_moduli(draw):
+    x = draw(st.integers(min_value=1, max_value=300))
+    # every modulus's own sum fits int64; a total over all of them may not
+    bound = (2**63 - 1) // x
+    w = np.array(
+        draw(st.lists(st.integers(-bound, bound), min_size=x + 1, max_size=x + 1)),
+        dtype=np.int64,
+    )
+    # unsorted, with repeats, q = 1, q = x and q > x
+    q = st.one_of(st.integers(1, 2 * x + 3), st.sampled_from([1, x, x + 1, 2 * x + 3]))
+    return w, draw(st.lists(q, max_size=60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights_and_moduli())
+def test_multiple_sums_matches_strided_walk(case):
+    w, moduli = case
+    got = multiple_sums(w, moduli)
+    assert got.dtype == np.int64
+    assert got.tolist() == multiple_sums_oracle(w, moduli)
+
+
+def test_multiple_sums_no_running_total_across_moduli():
+    # each modulus's sum is 3 * 2^61 < 2^63, but two of them overflow int64
+    x = 12
+    w = np.zeros(x + 1, dtype=np.int64)
+    w[[4, 8, 12]] = 2**61
+    moduli = [4, 4, 2, 1, 4, 13]
+    want = [sum(int(v) for v in w[q::q]) for q in moduli]
+    assert want == [3 * 2**61] * 5 + [0]
+    assert multiple_sums(w, moduli).tolist() == want == multiple_sums_oracle(w, moduli)
+
+
+def test_multiple_sums_edges():
+    w = np.arange(11, dtype=np.int64)
+    assert multiple_sums(w, []).tolist() == []
+    assert multiple_sums(w, [1, 10, 11, 10**9]).tolist() == [55, 10, 0, 0]
+    assert multiple_sums(np.zeros(1, dtype=np.int64), [1, 2]).tolist() == [0, 0]
+    # the dtype numpy's sum gives: int32 widens, float stays
+    assert multiple_sums(w.astype(np.int32), [3]).dtype == np.int64
+    assert multiple_sums(w / 2, [5]).tolist() == [7.5]
+    for moduli in ([0], [3, -1]):
+        with pytest.raises(ValueError, match="moduli"):
+            multiple_sums(w, moduli)
+    for bad in (np.zeros(0), np.zeros((3, 4))):
+        with pytest.raises(ValueError, match="weights"):
+            multiple_sums(bad, [1])
+
+
+def distinct_ints_oracle(values, hi, name="elements"):
+    """The set-and-sort route distinct_ints replaced."""
+    arr = np.asarray(sorted(set(int(v) for v in values)), dtype=np.int64)
+    if arr.size and not 1 <= arr[0] <= arr[-1] <= hi:
+        raise ValueError(f"{name} must lie in [1, {hi}]")
+    return arr
+
+
+CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda v: (n for n in v),
+    "int32": lambda v: np.asarray(v, dtype=np.int32),
+    "int64": lambda v: np.asarray(v, dtype=np.int64),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.integers(min_value=-3, max_value=60), max_size=80),
+    kind=st.sampled_from(sorted(CONTAINERS)),
+    hi=st.integers(min_value=1, max_value=60),
+)
+def test_distinct_ints_matches_set_and_sort(values, kind, hi):
+    def run(f):
+        try:
+            return f(CONTAINERS[kind](values), hi, "A")
+        except ValueError as e:
+            return str(e)
+
+    got, want = run(distinct_ints), run(distinct_ints_oracle)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_distinct_ints_repeats_empty_and_range(kind):
+    make = CONTAINERS[kind]
+    assert distinct_ints(make([5, 3, 5, 1, 3]), 5).tolist() == [1, 3, 5]
+    empty = distinct_ints(make([]), 5)
+    assert empty.dtype == np.int64 and empty.size == 0
+    for values, name in (([0, 2], "A"), ([2, 6, 6], "B"), ([-1], "elements")):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[1, 5\]$"):
+            distinct_ints(make(values), 5, name)

@@ -103,6 +103,31 @@ def test_sieve_report_reads_classes_from_the_divisor_map():
     assert loops == []
 
 
+def _stepped_slices(module, func):
+    """(function, line) of every slice with a step in ``func`` and in
+    the functions of the same module that it calls."""
+    names = _names_reached(module, func)
+    tree = ast.parse((SRC / module).read_text())
+    return [
+        (node.name, sub.lineno)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and (node.name == func or node.name in names)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Slice) and sub.step is not None
+    ]
+
+
+@pytest.mark.parametrize(
+    "module, func",
+    [("discrepancy.py", "variance_report"), ("smoothcount.py", "residue_convolution_identity_ok")],
+)
+def test_multiple_sums_come_from_one_gather(module, func):
+    # each modulus's sum over its multiples comes from multiple_sums; the
+    # strided walk (D[q::q], arr[q::q]) stays only in the test oracles
+    assert "multiple_sums" in _names_reached(module, func)
+    assert _stepped_slices(module, func) == []
+
+
 def _unused_parameters(tree):
     """(function, parameter) for every parameter its function never reads."""
     found = []
