@@ -161,26 +161,27 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def _load_or_build(args):
-    """(set, prime table): the table construct was built on, or None for
-    a set loaded from --set, since build and verify read no table."""
+def _load_or_build(args, x=None):
+    """(set, prime table): the set built at bound x (default --x) and its
+    table, or the set from --set and None, since build and verify read none."""
     if args.set_path:
         s = lg.load_json(args.set_path)
-        if getattr(args, "c", None) is not None:
+        if args.c is not None:
             s = lg.with_cutoff(s, args.c)
         return s, None
+    x = x or args.x
     # LGParams checks delta < c before the table is built
-    params = lg.LGParams(args.x, args.delta, args.c or 1.0)
-    table = build_prime_table(args.x, ceiling=_table_ceiling())
+    params = lg.LGParams(x, args.delta, args.c or 1.0)
+    table = build_prime_table(x, ceiling=_table_ceiling())
     s = lg.construct(params, table)
     if args.c is None:
         s = lg.with_cutoff(s, lg.choose_cutoff(s, args.epsilon))
     return s, table
 
 
-def _set_and_table(args):
+def _set_and_table(args, x=None):
     """The set and a prime table of size x, for commands that read one."""
-    s, table = _load_or_build(args)
+    s, table = _load_or_build(args, x)
     if table is None:
         table = build_prime_table(s.params.x, ceiling=_table_ceiling())
     return s, table
@@ -313,9 +314,7 @@ def _sumset_setup(args):
     if getattr(args, "lg_at_2x", False):
         if args.set_path:
             raise ValueError("--lg-at-2x cannot be combined with --set")
-        big = argparse.Namespace(**vars(args))
-        big.x = 2 * args.x
-        s, table = _set_and_table(big)
+        s, table = _set_and_table(args, 2 * args.x)
         A, B = _sample_sets(args, args.x)
     else:
         s, table = _set_and_table(args)
@@ -338,7 +337,7 @@ def _cmd_sweep(args) -> int:
     p = s.params
     ws = smoothcount.sumset_weights(A, B, p.x)
     thetas = [t for t in args.theta if p.delta < t <= 1]
-    dt = dickman.build_dickman_table(max_u=max(10.0, 1.0 / min(thetas, default=1.0) + 1))
+    dt = dickman.build_dickman_table(max_u=1.0 / min(thetas, default=1.0) + 1)
     lines = [SWEEP_CSV_HEADER]
     for theta in thetas:
         part = smoothcount.partition(s, theta, p.c, table)

@@ -203,31 +203,27 @@ def verify_pairwise_lcm(lgset: LGSet) -> PairwiseLcmReport:
     Equivalent multiple-count formulation: a violating pair divides a
     common m <= x (namely its lcm), so it suffices to find integers
     m <= x with two or more member divisors.  The divisor map decides
-    that; the pairs are listed only when it finds an overlap, each in
-    the group of m = lcm(a, b): the groups come in ascending m, and no
-    common multiple of a and b is smaller than their lcm.
+    that, and at such an m holds the member marked there last, so the
+    members q with div[m] != q, and div[m], are all its divisors.  Each
+    pair is listed in the group of m = lcm(a, b): the groups come in
+    ascending m, and no common multiple of a and b is smaller than their lcm.
     """
-    x = lgset.params.x
     members = lgset.members
     n = len(members)
     pair_count = n * (n - 1) // 2
     if lgset.multiples_disjoint():
         return PairwiseLcmReport(pair_count, [])
-    counts = np.zeros(x + 1, dtype=np.int32)
-    for q in members:
-        counts[q::q] += 1
-    overlap = counts >= 2
-    # (m, q) for each member q dividing an overlapping m; the stable sort
-    # keeps each m's divisors in ascending member order
-    ks = [np.flatnonzero(overlap[q::q]) + 1 for q in members]  # m = k * q
+    div = lgset._divisors[0]
+    ks = [np.flatnonzero(div[q::q] != q) + 1 for q in members]  # m = k * q
     qs = np.repeat(np.asarray(members, dtype=np.int64), [len(k) for k in ks])
     ms = np.concatenate(ks) * qs
-    order = np.argsort(ms, kind="stable")
+    ms, qs = np.concatenate([ms, ms]), np.concatenate([qs, div[ms]])
+    order = np.argsort(ms)
     violations = []
     pairs = zip(ms[order].tolist(), qs[order].tolist())
     for m, group in groupby(pairs, key=operator.itemgetter(0)):
-        divs = [q for _, q in group]
-        violations += [(a, b, m) for a, b in combinations(divs, 2) if math.lcm(a, b) == m]
+        divs = sorted({q for _, q in group})
+        violations.extend((a, b, m) for a, b in combinations(divs, 2) if math.lcm(a, b) == m)
     return PairwiseLcmReport(pair_count, violations)
 
 

@@ -58,7 +58,9 @@ class WeightedSet:
                 raise ValueError(f"dense weights must have length x+1 = {x + 1}")
             if arr[0] != 0:
                 raise ValueError("weight at index 0 must be zero")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr.astype(float))):
+        # integer and bool weights are finite: no float copy to check them
+        finite = arr.dtype.kind in "biu" or np.all(np.isfinite(arr.astype(float)))
+        if np.any(arr < 0) or not finite:
             raise ValueError("weights must be finite and nonnegative")
         self.array = arr
         self.sigma = _exact_sum(arr)
@@ -265,7 +267,7 @@ def theorem3_experiment(
     direct = int(rep.smooth_total)
 
     if dickman_table is None:
-        dickman_table = dickman.build_dickman_table(max_u=max(10.0, 1.0 / theta + 1))
+        dickman_table = dickman.build_dickman_table(max_u=1.0 / theta + 1)
     rho_theta = dickman.rho(1.0 / theta, dickman_table)
     sigma = rep.sigma
     fraction = direct / sigma if sigma else 0.0

@@ -34,6 +34,29 @@ def test_parse_bad_delta():
     assert exc.value.code == 2
 
 
+_SWEEP = ["sweep", "--x", "100", "--delta", "0.2", "--gamma", "0.2", "--size-a", "5",
+          "--size-b", "5", "--theta"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "--x", "0", "--delta", "0.05", "--out", "s.json"],
+         "argument --x: expected a positive integer, got 0"),
+        (["coverage", "--x", "100", "--delta", "0.2", "--c", "1.5"],
+         "argument --c: expected a value in (0,1], got 1.5"),
+        ([*_SWEEP, "0.5:0:0.9"], "argument --theta: bad sweep range 0.5:0:0.9"),
+        ([*_SWEEP, "1:2"], "argument --theta: expected start:step:end, got 1:2"),
+        ([*_SWEEP, "0.9:0.1:0.5"], "argument --theta: bad sweep range 0.9:0.1:0.5"),
+    ],
+)
+def test_parse_rejects_bad_values(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_parse_missing_params():
     with pytest.raises(SystemExit) as exc:
         parse_args(["verify"])
@@ -137,6 +160,28 @@ def test_coverage_csv(tmp_path):
     fields = lines[1].split(",")
     assert fields[0] == "100"
     assert int(fields[3]) + int(fields[4]) == 100
+
+
+def test_coverage_of_loaded_set_with_c(tmp_path):
+    # --c on a loaded set replaces its cutoff, as --c does on a built one
+    path, loaded, built = (tmp_path / n for n in ("set.json", "loaded.csv", "built.csv"))
+    assert run_cli("build", "--x", "10000", "--delta", "0.05", "--out", str(path)) == 0
+    assert load_json(path).params.c != 0.6
+    assert run_cli("coverage", "--set", str(path), "--c", "0.6", "--out", str(loaded)) == 0
+    assert run_cli(
+        "coverage", "--x", "10000", "--delta", "0.05", "--c", "0.6", "--out", str(built)
+    ) == 0
+    assert loaded.read_text() == built.read_text()
+    assert loaded.read_text().splitlines()[1].split(",")[2] == "0.6"
+
+
+def test_csv_to_stdout_without_out(tmp_path, capsys):
+    out = tmp_path / "cov.csv"
+    argv = ["coverage", "--x", "10000", "--delta", "0.05"]
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_dickman_csv_rho2(tmp_path):

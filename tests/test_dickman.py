@@ -35,6 +35,26 @@ def test_rho_values_in_range(table):
     assert np.all(vals[grid > 1.0] < 1.0)
 
 
+def test_first_step_past_the_kink_off_grid():
+    # step 0.3 does not divide 1, so the step from 0.9 to 1.2 integrates
+    # from the kink at u = 1.  On (1, 2] rho(t - 1) = 1, so the table is
+    # the trapezoid rule for 1 - int_1^u dt/t, which overestimates the
+    # integral of the convex 1/t by at most (u - 1) * step^2 / 6
+    t = build_dickman_table(step=0.3, max_u=2.0)
+    us = np.arange(len(t.values)) * t.step
+    on = (us > 1.0) & (us <= 2.0)
+    assert us[on].tolist() == pytest.approx([1.2, 1.5, 1.8])
+    err = (1.0 - np.log(us[on])) - t.values[on]
+    assert np.all(err >= 0)
+    assert np.all(err <= (us[on] - 1.0) * t.step**2 / 6)
+
+
+def test_rho_at_table_end(table):
+    # the last grid point has no right neighbour: _interp returns it
+    assert table.max_u == 6.0
+    assert rho(table.max_u, table) == table.values[-1]
+
+
 def test_grid_refinement(table):
     fine = build_dickman_table(step=2.0**-11, max_u=6.0)
     for u in (1.5, 2.0, 2.7, 3.3, 4.1, 5.0):

@@ -120,6 +120,22 @@ def test_weighted_set_validation():
     bad[0] = 2.0
     with pytest.raises(ValueError):
         WeightedSet(10, bad)
+    for w in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            WeightedSet(10, {3: w})
+        dense = np.zeros(11)
+        dense[3] = w
+        with pytest.raises(ValueError):
+            WeightedSet(10, dense)
+    with pytest.raises(ValueError):
+        WeightedSet(10, np.zeros(10))  # length x, not x + 1
+    with pytest.raises(ValueError):
+        WeightedSet(0, {})
+    with pytest.raises(ValueError):
+        WeightedSet(10, np.array([0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0]))
+    ints = WeightedSet(10, np.arange(11))
+    assert ints.sigma == 55 and ints.array.dtype.kind == "i"
+    assert WeightedSet(10, np.arange(11) % 2 == 1).sigma == 5
     ws = WeightedSet(10, {3: 1.5, 7: 2.5})
     assert ws.sigma == 4.0
     assert list(np.flatnonzero(ws.array)) == [3, 7]

@@ -103,6 +103,20 @@ def test_sieve_report_reads_classes_from_the_divisor_map():
     assert loops == []
 
 
+def test_verify_lists_pairs_from_the_divisor_map():
+    # a set that is not LG has its pairs listed from the map that
+    # multiples_disjoint built; the per-member recount into a second
+    # array (counts[q::q] += 1) is the test oracle listing_violations only
+    tree = ast.parse((SRC / "lgset.py").read_text())
+    (func,) = [
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "verify_pairwise_lcm"
+    ]
+    attrs = {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)}
+    assert {"multiples_disjoint", "_divisors"} <= attrs
+    assert "zeros" not in attrs
+    assert [n.lineno for n in ast.walk(func) if isinstance(n, ast.AugAssign)] == []
+
+
 def _stepped_slices(module, func):
     """(function, line) of every slice with a step in ``func`` and in
     the functions of the same module that it calls."""
