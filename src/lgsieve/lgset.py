@@ -10,7 +10,9 @@ distinct primes with the chain conditions
     1 <= x / (p_1 ... p_k) < p_k.
 
 All chain comparisons are exact integer comparisons
-(x >= p * partial_product), never floating point.
+(x >= p * partial_product), never floating point: construct makes them
+in int64, where partial_product <= x and p <= x, both below 2**31,
+keep every product below 2**62.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import combinations, groupby
 
 import numpy as np
 
@@ -58,16 +59,36 @@ class LGParams:
             raise ValueError(f"epsilon_target out of (0,1): {self.epsilon_target}")
 
 
+def _slice_count(members: list, x: int) -> int:
+    """Number of members q <= x**SLICE_MAX_EXPONENT, the ones walked one
+    slice q::q each; the rest go to _by_multiple_index."""
+    return bisect_right(members, int(x**SLICE_MAX_EXPONENT))
+
+
+def _by_multiple_index(big: np.ndarray, x: int):
+    """Yield (k, big[:n]) for k = 1, 2, ...: the members of the ascending
+    int32 array ``big`` whose k-th multiple is at most x."""
+    # Python ints: an int32 big[0] * k overflows near x = 2**31 - 1
+    kmax = x // int(big[0]) if big.size else 0
+    for k in range(1, kmax + 1):
+        yield k, big[: int(np.searchsorted(big, x // k, side="right"))]
+
+
 class LGSet:
     """Sorted member list, searched by bisection, and a lazily built
     divisor map.  Members must be distinct integers in [2, x]."""
 
     def __init__(self, params: LGParams, members):
         self.params = params
-        self.members = m = sorted(int(n) for n in members)
+        error = f"members must be distinct integers in [2, {params.x}]"
+        try:
+            # operator.index, unlike int(), rejects floats, Fractions and Decimals
+            self.members = m = sorted(map(operator.index, members))
+        except TypeError:
+            raise ValueError(error) from None
         # strictly increasing: sorted and no duplicates
         if not all(map(operator.lt, m, m[1:])) or (m and not 2 <= m[0] <= m[-1] <= params.x):
-            raise ValueError(f"members must be distinct integers in [2, {params.x}]")
+            raise ValueError(error)
         self._divisors = None  # (div, disjoint), see multiples_disjoint
 
     def multiples_disjoint(self) -> bool:
@@ -77,16 +98,12 @@ class LGSet:
         if self._divisors is None:
             x, members = self.params.x, self.members
             div = np.zeros(x + 1, dtype=np.int32)
-            i = bisect_right(members, int(x**SLICE_MAX_EXPONENT))
+            i = _slice_count(members, x)
             for q in members[:i]:
                 div[q::q] = q
             qs = np.asarray(members, dtype=np.int32)  # members <= x, which LGParams caps
-            big = qs[i:]
-            # Python ints: an int32 big[0] * k overflows near x = 2**31 - 1
-            kmax = x // members[i] if i < len(members) else 0
-            for k in range(1, kmax + 1):
-                n = int(np.searchsorted(big, x // k, side="right"))  # big[:n] * k <= x
-                div[big[:n] * k] = big[:n]  # one k never repeats an index
+            for k, big in _by_multiple_index(qs[i:], x):
+                div[big * k] = big  # one k never repeats an index
             div.flags.writeable = False  # shared by every reader and with_cutoff copy
             multiples = int((x // qs).sum(dtype=np.int64))
             self._divisors = (div, multiples == int(np.count_nonzero(div)))
@@ -156,9 +173,16 @@ class PairwiseLcmReport:
         return not self.violations
 
 
+def _ranges(counts: np.ndarray):
+    """(i, j) for every i and every j in range(counts[i]), in that order,
+    as two int64 arrays."""
+    i = np.repeat(np.arange(counts.size), counts)
+    return i, np.arange(i.size) - (np.cumsum(counts) - counts)[i]
+
+
 def construct(params: LGParams, table: PrimeTable) -> LGSet:
-    """Enumerate all members by depth-first search over strictly
-    decreasing prime chains.
+    """Enumerate all members level by level over strictly decreasing
+    prime chains, one numpy frontier per chain length.
 
     A node (product P ending in prime p) is terminal when x < p*P, in
     which case P is emitted; otherwise x >= p*P is exactly the chain
@@ -171,21 +195,19 @@ def construct(params: LGParams, table: PrimeTable) -> LGSet:
     pmin = floor_pow(x, params.delta)
     primes = table.primes  # ascending
     lo, hi = np.searchsorted(primes, [pmin, x], side="right")
-    ps = primes[lo:hi].tolist()  # Python ints, so the chain products stay exact
-    members: list[int] = []
-
-    def extend(prod: int, idx: int) -> None:
-        p = ps[idx]
-        if prod * p > x:
-            members.append(prod)
-            return
-        for j in range(idx - 1, -1, -1):
-            # prod * ps[j] < prod * p <= x, so no overflow past x here
-            extend(prod * ps[j], j)
-
-    for i in range(len(ps) - 1, -1, -1):
-        extend(ps[i], i)
-    return LGSet(params, members)
+    ps = primes[lo:hi].astype(np.int64)
+    # the frontier: chain products and the index in ps of each chain's last prime
+    prod, idx = ps, np.arange(ps.size)
+    levels = [prod[:0]]  # concatenate needs one array when ps is empty
+    while prod.size:
+        # prod <= x and ps <= x, both below 2**31, so prod * ps stays exact in int64
+        terminal = prod * ps[idx] > x
+        levels.append(prod[terminal])
+        prod, idx = prod[~terminal], idx[~terminal]
+        # expand each node to prod * ps[j] for every j < idx (below x, as ps[j] < ps[idx])
+        parent, idx = _ranges(idx)
+        prod = prod[parent] * ps[idx]
+    return LGSet(params, np.sort(np.concatenate(levels)).tolist())
 
 
 def find_divisor(m: int, lgset: LGSet):
@@ -213,17 +235,28 @@ def verify_pairwise_lcm(lgset: LGSet) -> PairwiseLcmReport:
     pair_count = n * (n - 1) // 2
     if lgset.multiples_disjoint():
         return PairwiseLcmReport(pair_count, [])
-    div = lgset._divisors[0]
-    ks = [np.flatnonzero(div[q::q] != q) + 1 for q in members]  # m = k * q
-    qs = np.repeat(np.asarray(members, dtype=np.int64), [len(k) for k in ks])
-    ms = np.concatenate(ks) * qs
-    ms, qs = np.concatenate([ms, ms]), np.concatenate([qs, div[ms]])
-    order = np.argsort(ms)
-    violations = []
-    pairs = zip(ms[order].tolist(), qs[order].tolist())
-    for m, group in groupby(pairs, key=operator.itemgetter(0)):
-        divs = sorted({q for _, q in group})
-        violations.extend((a, b, m) for a, b in combinations(divs, 2) if math.lcm(a, b) == m)
+    div, x = lgset._divisors[0], lgset.params.x
+    i = _slice_count(members, x)
+    small = np.asarray(members[:i], dtype=np.int64)
+    ks = [np.flatnonzero(div[q::q] != q) + 1 for q in members[:i]]  # m = k * q
+    qs = [np.repeat(small, [len(k) for k in ks])]
+    ms = [np.concatenate([small[:0], *ks]) * qs[0]]  # small[:0]: i may be 0
+    for k, big in _by_multiple_index(np.asarray(members[i:], dtype=np.int32), x):
+        big = big[div[big * k] != big]
+        ms.append(big * k)
+        qs.append(big)
+    ms = np.concatenate(ms)
+    ms, qs = np.concatenate([ms, ms]), np.concatenate([*qs, div[ms]])
+    # each (m, q) once, ascending in m, then q; the key stays below (x + 1)**2 < 2**62
+    key = np.sort(ms * (x + 1) + qs)
+    ms, qs = np.divmod(key[np.append(True, key[1:] != key[:-1])], x + 1)
+    # pair each q with every later q of the same m, in itertools.combinations order
+    last = np.flatnonzero(np.append(ms[1:] != ms[:-1], True))  # each m's last index
+    pos = np.arange(ms.size)
+    first, j = _ranges(last[np.searchsorted(last, pos)] - pos)
+    a, b, m = qs[first], qs[first + 1 + j], ms[first]
+    keep = np.lcm(a, b) == m
+    violations = list(zip(a[keep].tolist(), b[keep].tolist(), m[keep].tolist()))
     return PairwiseLcmReport(pair_count, violations)
 
 

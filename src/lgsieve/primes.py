@@ -62,6 +62,17 @@ class Factorization:
         return out
 
 
+def _primes_up_to(n: int) -> np.ndarray:
+    """Ascending primes <= n by a boolean sieve; n is the square root of
+    a table limit, so this stays small."""
+    is_prime = np.ones(n + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.flatnonzero(is_prime)
+
+
 def build_prime_table(limit: int, ceiling: int = DEFAULT_TABLE_CEILING) -> PrimeTable:
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
@@ -71,10 +82,10 @@ def build_prime_table(limit: int, ceiling: int = DEFAULT_TABLE_CEILING) -> Prime
             f"sieve limit {limit} exceeds ceiling {ceiling}"
         )
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
+    # descending, so at each composite n the write of its smallest prime
+    # factor p (p * p <= n) lands last
+    for p in _primes_up_to(math.isqrt(limit))[::-1].tolist():
+        spf[p * p :: p] = p
     primes = np.flatnonzero(spf[2:] == 0) + 2  # the entries no smaller prime marked
     spf[primes] = primes
     return PrimeTable(limit, spf, primes)

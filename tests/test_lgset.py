@@ -1,16 +1,20 @@
+import hashlib
 import itertools
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgsieve import (
     LGParams,
     LGSet,
     WeightedSet,
+    build_prime_table,
     choose_cutoff,
     construct,
     coverage,
@@ -59,6 +63,25 @@ def brute_force_members(x, delta, table):
     return out
 
 
+def dfs_members(x, delta, table):
+    """Oracle: depth-first search over strictly decreasing prime chains,
+    a node (product P ending in prime p) emitted when x < p * P."""
+    pmin = floor_pow(x, delta)
+    ps = [int(p) for p in table.primes if pmin < p <= x]
+    members = []
+
+    def extend(prod, idx):
+        if prod * ps[idx] > x:
+            members.append(prod)
+            return
+        for j in range(idx - 1, -1, -1):
+            extend(prod * ps[j], j)
+
+    for i in range(len(ps) - 1, -1, -1):
+        extend(ps[i], i)
+    return sorted(members)
+
+
 def walk_divisor(m, x, pmin, spf):
     """Oracle: prefix walk over m's distinct primes > pmin in decreasing
     order.  Any member dividing m must consist of m's consecutive
@@ -99,6 +122,43 @@ def test_construct_x100(set100, table1k):
     assert set100.members == EXPECTED_100
     assert len(set100) == 22
     assert set100.members == brute_force_members(100, 0.2, table1k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=3000),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+@example(4, 0.99)  # no prime in (x^delta, x]
+def test_construct_matches_brute_force(table10k, x, delta):
+    members = construct(LGParams(x, delta), table10k).members
+    assert members == brute_force_members(x, delta, table10k)
+    assert all(type(q) is int for q in members)
+
+
+@pytest.mark.parametrize("x, delta", [(4, 0.99), (10, 0.99), (1000, 0.9999)])
+def test_construct_with_no_prime_above_the_floor(table10k, x, delta):
+    # no prime in (x^delta, x], so the level-wise walk starts with no chain
+    assert not any(floor_pow(x, delta) < p <= x for p in table10k.primes.tolist())
+    assert construct(LGParams(x, delta), table10k).members == []
+
+
+@pytest.mark.parametrize("x", [10**4, 10**5])
+@pytest.mark.parametrize("delta", [0.01, 0.05, 0.3, 0.6])
+def test_construct_matches_dfs(table100k, x, delta):
+    assert construct(LGParams(x, delta), table100k).members == dfs_members(x, delta, table100k)
+
+
+# SHA-256 of ",".join(map(str, members)) at x = 10**6, delta = 0.05,
+# recorded from the depth-first construction
+MEMBERS_1E6_SHA256 = "676c6758fcac76798f06c6b239381ef06263633d949a031f975a282f4e964dde"
+
+
+def test_construct_members_pinned_at_1e6():
+    s = construct(LGParams(10**6, 0.05), build_prime_table(10**6))
+    assert len(s) == 104_184
+    digest = hashlib.sha256(",".join(map(str, s.members)).encode()).hexdigest()
+    assert digest == MEMBERS_1E6_SHA256
 
 
 def test_construct_table_too_small(table1k):
@@ -264,6 +324,22 @@ def test_pairwise_lcm_listing_matches_per_m_oracle(data):
     assert verify_pairwise_lcm(s).violations == listing_violations(s.members, x)
 
 
+@pytest.mark.parametrize(
+    "members",
+    [
+        [300, 600, 997],  # overlap among the members above x**SLICE_MAX_EXPONENT
+        [252, 504, 756, 1000],  # 252 divides 504 and 756; lcm(504, 756) = 1512 > x
+        [37, 74, 500],  # overlap among the members below it
+        [37, 999],  # across the split
+        [37, 74, 300, 600, 900, 999],
+    ],
+)
+def test_pairwise_lcm_listing_split_edges(members):
+    s = LGSet(LGParams(1000, 0.2), members)
+    assert not s.multiples_disjoint()
+    assert verify_pairwise_lcm(s).violations == listing_violations(s.members, 1000)
+
+
 def test_pairwise_lcm_clean(set100):
     rep = verify_pairwise_lcm(set100)
     assert rep.ok
@@ -304,10 +380,30 @@ def test_overlapping_set_has_no_divisor_map(table1k):
         sieve_report(WeightedSet(100, {55: 1.0}), part, s, 0.2, table1k)
 
 
-@pytest.mark.parametrize("members", [[1, 97], [11, 101], [11, 11], [55, 11, 55]])
+@pytest.mark.parametrize(
+    "members",
+    [
+        [1, 97],
+        [11, 101],
+        [11, 11],
+        [55, 11, 55],
+        [2.7, 3.2, 97.9],  # int() would truncate these to [2, 3, 97]
+        [11, 97.0],
+        [np.float64(11.0)],
+        [Fraction(11)],
+        [Decimal(11)],
+        ["11"],
+    ],
+)
 def test_lgset_rejects_bad_members(members):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="members must be distinct integers"):
         LGSet(LGParams(100, 0.2), members)
+
+
+def test_lgset_accepts_numpy_integers():
+    s = LGSet(LGParams(100, 0.2), [np.int64(97), np.int32(11), 35])
+    assert s.members == [11, 35, 97]
+    assert all(type(q) is int for q in s.members)
 
 
 def test_coverage_full_cutoff(set100, table1k):

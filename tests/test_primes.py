@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lgsieve.primes as primes_module
 from lgsieve import (
     ResourceLimitError,
     build_prime_table,
@@ -43,6 +46,55 @@ def enumerate_smooth(x, primes_up_to_y):
                 break
             stack.append((n * p, j))
     return count
+
+
+def masked_ascending_spf(limit):
+    """Oracle: each prime p <= sqrt(limit), ascending, writes p only where
+    no smaller prime has written yet."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            sl = spf[p * p :: p]
+            sl[sl == 0] = p
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
+    return spf, primes
+
+
+def assert_table_matches_masked_loop(limit):
+    t = build_prime_table(limit)
+    spf, primes = masked_ascending_spf(limit)
+    assert t.limit == limit
+    assert t.smallest_factor.dtype == np.int32
+    assert np.array_equal(t.smallest_factor, spf), limit
+    assert np.array_equal(t.primes, primes), limit
+
+
+def test_table_matches_masked_loop_every_limit_to_3000():
+    for limit in range(2, 3001):
+        assert_table_matches_masked_loop(limit)
+
+
+@pytest.mark.parametrize("p", simple_prime_sieve(100))
+def test_table_matches_masked_loop_around_prime_squares(p):
+    for limit in (p * p - 1, p * p, p * p + 1):
+        if limit >= 2:
+            assert_table_matches_masked_loop(limit)
+
+
+def test_build_prime_table_entered_once_per_call(monkeypatch):
+    # a tracer wrapping the public function sees one call and one table
+    calls = []
+    inner = primes_module.build_prime_table
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(primes_module, "build_prime_table", wrapped)
+    for limit in (2, 10**4, 10**5 + 3):
+        primes_module.build_prime_table(limit)
+    assert calls == [(2,), (10**4,), (10**5 + 3,)]
 
 
 def test_first_primes():

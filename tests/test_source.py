@@ -199,3 +199,28 @@ def test_runtime_dependencies_are_numpy_alone():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     deps = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
+
+
+def test_construct_walks_levels_without_recursion():
+    # the chain tree is expanded one level at a time over numpy frontiers;
+    # the recursive depth-first search is the test oracle dfs_members only
+    tree = ast.parse((SRC / "lgset.py").read_text())
+    (func,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "construct"]
+    nested = [
+        n.lineno
+        for n in ast.walk(func)
+        if n is not func and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    ]
+    assert nested == []
+    # neither construct nor a module function it reaches refers to construct
+    names = _names_reached("lgset.py", "construct")
+    assert {"LGSet", "_ranges"} <= names  # the walk does see the calls
+    assert "construct" not in names
+
+
+def test_verify_walks_big_members_by_multiple_index():
+    # verify_pairwise_lcm reads the divisor map with the split that
+    # multiples_disjoint marks it with: one slice per small member, one
+    # gather per multiple index k for the rest
+    names = _names_reached("lgset.py", "verify_pairwise_lcm")
+    assert {"_slice_count", "_by_multiple_index"} <= names
