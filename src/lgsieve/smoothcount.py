@@ -21,7 +21,7 @@ from . import dickman
 from .discrepancy import _pair_counts, distinct_ints, multiple_sums, variance_report
 from .lgset import LGSet, coverage, largest_int_below_pow
 from .powers import real_pow
-from .primes import INT32_MAX, PrimeTable
+from .primes import INT32_MAX, PrimeTable, ResourceLimitError
 
 
 @dataclass
@@ -189,53 +189,157 @@ def difference_weights(A, x: int) -> WeightedSet:
     return WeightedSet(x, w)
 
 
-_BLOCK = 64  # moduli whose residues are computed together
+_NTT_PRIME = 15 * 2**27 + 1  # 2013265921; p - 1 = 2^27 * 3 * 5
+_NTT_ROOT = 31  # a primitive root mod _NTT_PRIME
+_NTT_MAX_LENGTH = 1 << 27  # the largest power of two dividing p - 1
 
 
-def _residues(values, col, out):
-    """values mod q for each q in the column, in place in ``out``:
-    values - q*floor(values/q), with no intermediate above the values."""
-    np.floor_divide(values, col, out=out)
-    out *= col
-    return np.subtract(values, out, out=out)
+def _stage_twiddles(n: int, inverse: bool) -> list:
+    """[(h, w)] for the stage half-lengths h = n/2, n/4, ..., 1 of a
+    transform of length n (a power of two dividing p - 1): w[j] = r^j
+    mod p for j < h, uint64, where r is a primitive 2h-th root of unity,
+    inverted for the inverse transform.  The powers of the first stage
+    are built by doubling; every later stage's are a view of its even
+    entries."""
+    if n < 2:
+        return []
+    r = pow(_NTT_ROOT, (_NTT_PRIME - 1) // n, _NTT_PRIME)
+    if inverse:
+        r = pow(r, _NTT_PRIME - 2, _NTT_PRIME)
+    w = np.ones(n // 2, dtype=np.uint64)
+    m = 1
+    while m < w.size:
+        seg = w[m : 2 * m]
+        np.multiply(w[: seg.size], pow(r, m, _NTT_PRIME), out=seg)
+        seg %= _NTT_PRIME
+        m *= 2
+    stages = [(w.size, w)]
+    while stages[-1][0] > 1:
+        h, w = stages[-1]
+        stages.append((h // 2, w.reshape(-1, 2)[:, 0]))
+    return stages
+
+
+def _mulmod(a, b, scratch) -> None:
+    """a = a * b mod p in place, for a < 2p and b < p (the product is
+    below 2p^2 < 2^63); scratch has a's shape and may be b itself."""
+    np.multiply(a, b, out=a)
+    np.floor_divide(a, _NTT_PRIME, out=scratch)
+    scratch *= _NTT_PRIME
+    a -= scratch
+
+
+def _butterflies(f, tmp, h: int, w):
+    """The pairs (u, v) = (f[i], f[i + h]) of every block of 2h entries,
+    as views, with the twiddle w[j] of the j-th pair of each block and
+    a scratch view of u's shape cut from tmp.  Below h = 8 each j is
+    one strided column, so that numpy's inner loops run along the long
+    axis."""
+    rows = f.reshape(-1, 2, h)
+    if h >= 8:
+        yield rows[:, 0], rows[:, 1], tmp.reshape(-1, h), w
+    else:
+        for j, t in enumerate(tmp.reshape(h, -1)):
+            yield rows[:, 0, j], rows[:, 1, j], t, int(w[j])
+
+
+def _ntt_forward(f) -> None:
+    """Decimation in frequency, in place on uint64 residues f (length a
+    power of two up to 2^27): natural order in, transform mod p out in
+    bit-reversed order.  Sums stay below 2p and products below 2p^2 <
+    2^63; a sum is brought below p by one wrapped subtraction of p and
+    a minimum.  The only temporaries are half-length: the scratch and
+    the twiddles."""
+    tmp = np.empty(f.size // 2, dtype=np.uint64)
+    for h, w in _stage_twiddles(f.size, inverse=False):
+        for u, v, t, wj in _butterflies(f, tmp, h, w):
+            np.subtract(u, v, out=t)
+            t += _NTT_PRIME  # u - v + p, in (0, 2p)
+            u += v
+            np.subtract(u, _NTT_PRIME, out=v)  # wraps above u when u < p
+            np.minimum(u, v, out=u)
+            t *= wj
+            np.floor_divide(t, _NTT_PRIME, out=v)
+            v *= _NTT_PRIME
+            np.subtract(t, v, out=v)
+
+
+def _ntt_inverse(f) -> None:
+    """Decimation in time, in place: undoes _ntt_forward, taking its
+    bit-reversed output back to the residues in natural order, the
+    division by the length included.  Between stages the entries are
+    only kept below 2p: each butterfly reduces u mod p before u + t and
+    u - t + p, and the division reduces them all."""
+    n = f.size
+    tmp = np.empty(n // 2, dtype=np.uint64)
+    for h, w in reversed(_stage_twiddles(n, inverse=True)):
+        for u, v, t, wj in _butterflies(f, tmp, h, w):
+            np.multiply(v, wj, out=t)
+            np.floor_divide(t, _NTT_PRIME, out=v)
+            v *= _NTT_PRIME
+            t -= v  # v * w mod p
+            np.subtract(u, _NTT_PRIME, out=v)
+            np.minimum(u, v, out=u)
+            np.subtract(u, t, out=v)
+            v += _NTT_PRIME
+            u += t
+    if n > 1:
+        for half in f.reshape(2, -1):
+            _mulmod(half, pow(n, _NTT_PRIME - 2, _NTT_PRIME), tmp)
+
+
+def _ntt_sum_counts(A, B) -> np.ndarray:
+    """c[n] = #{(a, b) in A x B : a + b = n} as int64, for n below the
+    least power of two above max(A) + max(B); A and B are distinct
+    positive integer arrays.  The indicator transforms mod p are
+    multiplied pointwise, and the result is exact because every count
+    is at most min(|A|, |B|) < p.  A length above 2^27 raises
+    ResourceLimitError before anything is allocated."""
+    if not (A.size and B.size):
+        return np.zeros(1, dtype=np.int64)
+    n = 1 << (int(A.max()) + int(B.max())).bit_length()
+    if n > _NTT_MAX_LENGTH:
+        raise ResourceLimitError(
+            f"sums up to {int(A.max()) + int(B.max())} need a transform of length {n}, "
+            f"above the 2^27 that p = {_NTT_PRIME} supports"
+        )
+    fa = np.zeros(n, dtype=np.uint64)
+    fa[A] = 1
+    _ntt_forward(fa)
+    fb = np.zeros(n, dtype=np.uint64)
+    fb[B] = 1
+    _ntt_forward(fb)
+    _mulmod(fa, fb, fb)
+    del fb
+    _ntt_inverse(fa)
+    return fa.view(np.int64)
 
 
 def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli) -> bool:
     """Check, in exact integer arithmetic, that for every modulus q the
-    weight mass on multiples of q (``multiple_sums``) equals
-    #{(a, b) : q | a + b}; the right side never reads the weights.
+    weight mass on multiples of q equals #{(a, b) : q | a + b}; the
+    right side never reads the weights.
 
     A and B must lie in [1, weights.x] and the moduli must be integers
-    in [1, 2^31 - 1], else ValueError.  The residues are int32 floor
-    divisions over blocks of moduli: a mod q = a - q*floor(a/q) and
-    (-b) mod q = (q - 1) - ((b - 1) mod q), neither of which overflows.
+    in [1, 2^31 - 1], else ValueError.  Both sides are
+    ``multiple_sums``: of the weights, and of the pair-sum counts
+    c[n] = #{(a, b) : a + b = n} from one number-theoretic transform
+    mod p = 15 * 2^27 + 1 in integers only (``_ntt_sum_counts``), which
+    is exact because residues stay below 2^31, products below 2^63 and
+    counts below p.  Sums reach up to 2x, so x may be at most about
+    2^26: a longer transform raises ResourceLimitError.
     """
     x = weights.x
     if x > INT32_MAX:
-        raise ValueError(f"x = {x} exceeds 2^31 - 1, the range of the int32 residues")
-    Aa = distinct_ints(A, x, "A").astype(np.int32)
-    Bm1 = distinct_ints(B, x, "B").astype(np.int32) - np.int32(1)
+        raise ValueError(f"x = {x} exceeds 2^31 - 1, the index range of multiple_sums")
+    Aa, Bb = distinct_ints(A, x, "A"), distinct_ints(B, x, "B")
     qs = np.asarray(list(moduli))
     if qs.size and (
         not np.issubdtype(qs.dtype, np.integer) or qs.min() < 1 or qs.max() > INT32_MAX
     ):
         raise ValueError(f"moduli must be integers in [1, {INT32_MAX}]")
-    lhs = multiple_sums(weights.array, qs).tolist()
-    bufA = np.empty((_BLOCK, Aa.size), dtype=np.int32)
-    bufB = np.empty((_BLOCK, Bm1.size), dtype=np.int32)
-    for start in range(0, qs.size, _BLOCK):
-        block = qs[start : start + _BLOCK].astype(np.int32)
-        col = block[:, None]
-        rA = _residues(Aa, col, bufA[: block.size])
-        rB = _residues(Bm1, col, bufB[: block.size])
-        np.subtract(col - np.int32(1), rB, out=rB)
-        for q, ra, rb, left in zip(block.tolist(), rA, rB, lhs[start : start + _BLOCK]):
-            # residues of A are <= x, so for q > x + 1 the histogram stops
-            # at x + 1 and a residue of -b beyond it clips onto that empty bin
-            hist = np.bincount(ra, minlength=min(q, x + 2))
-            if int(left) != int(hist.take(rb, mode="clip").sum()):
-                return False
-    return True
+    counts = _ntt_sum_counts(Aa, Bb)
+    return np.array_equal(multiple_sums(weights.array, qs), multiple_sums(counts, qs))
 
 
 def theorem3_experiment(

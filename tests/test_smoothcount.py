@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ from lgsieve.powers import largest_int_below_pow, real_pow
 from lgsieve.primes import build_prime_table, largest_prime_factor
 from lgsieve import smoothcount
 from lgsieve.cli import _make_weights
+from lgsieve.discrepancy import distinct_ints
 from lgsieve.smoothcount import residue_convolution_identity_ok
 
 
@@ -400,6 +402,72 @@ def sumset_oracle(A, B, x):
             s = (Aa[i : i + block, None] + Bb[None, :]).ravel()
             w += np.bincount(s, minlength=x + 1)
     return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(min_value=1, max_value=2 * 10**4),
+    seed=st.integers(min_value=0, max_value=2**32),
+    na=st.integers(min_value=0, max_value=300),
+    nb=st.integers(min_value=0, max_value=300),
+    top=st.booleans(),
+)
+def test_ntt_sum_counts_match_enumeration_property(x, seed, na, nb, top):
+    # shrinks to empty sets and singletons; with top the sums reach 2x
+    rng = random.Random(seed)
+    A = rng.sample(range(1, x + 1), min(na, x))
+    B = rng.sample(range(1, x + 1), min(nb, x))
+    if top:
+        A, B = A + [x], B + [x]
+    got = smoothcount._ntt_sum_counts(distinct_ints(A, x), distinct_ints(B, x))
+    want = sumset_oracle(A, B, 2 * x)
+    assert got.dtype == np.int64
+    if A and B:
+        assert got.size == 1 << (max(A) + max(B)).bit_length()
+    size = max(got.size, want.size)
+    assert np.array_equal(np.pad(got, (0, size - got.size)), np.pad(want, (0, size - want.size)))
+
+
+@pytest.mark.parametrize("log_n", range(0, 13))
+def test_ntt_inverse_undoes_forward(log_n):
+    n = 1 << log_n
+    rng = np.random.default_rng(log_n)
+    f = rng.integers(0, smoothcount._NTT_PRIME, n, dtype=np.int64).astype(np.uint64)
+    f[-1] = smoothcount._NTT_PRIME - 1  # the largest residue
+    g = f.copy()
+    smoothcount._ntt_forward(g)
+    assert g.max() < smoothcount._NTT_PRIME
+    assert n < 4 or not np.array_equal(g, f)
+    smoothcount._ntt_inverse(g)
+    assert np.array_equal(g, f)
+
+
+def test_ntt_constants():
+    p, g = smoothcount._NTT_PRIME, smoothcount._NTT_ROOT
+    assert p == 15 * 2**27 + 1 == 2013265921
+    assert p - 1 == 2**27 * 3 * 5
+    assert all(p % q for q in build_prime_table(math.isqrt(p)).primes.tolist())  # p is prime
+    # g generates the whole group: no maximal proper subgroup holds it
+    assert all(pow(g, (p - 1) // r, p) != 1 for r in (2, 3, 5))
+    assert smoothcount._NTT_MAX_LENGTH == 2**27
+    # exactness: residues below 2^31, so (2p - 1) * (p - 1) fits uint64 and
+    # int64, and a count is at most |A| <= x < 2^27 < p
+    assert p < 2**31 and (2 * p - 1) * (p - 1) < 2**63
+
+
+def test_ntt_length_guard_raises_before_allocating():
+    # x = 2^27 fits int32, but sums reach 2^28: a transform of length 2^29
+    huge = SimpleNamespace(x=2**27, array=np.zeros(4, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(smoothcount.ResourceLimitError, match="2\\^27"):
+            residue_convolution_identity_ok(huge, [2**27], [2**27], [2])
+        with pytest.raises(smoothcount.ResourceLimitError):
+            smoothcount._ntt_sum_counts(np.array([2**26]), np.array([2**26]))  # length 2^28
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def difference_oracle(A, x):
