@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import random
 import sys
@@ -57,16 +58,18 @@ def _unit_half_open(value):
 
 
 def _range_spec(value):
-    """start:step:end sweep specification."""
+    """start:step:end sweep specification of at most 10^4 points."""
     parts = value.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected start:step:end, got {value}")
     start, step, end = (float(p) for p in parts)
-    if step <= 0 or end < start:
+    if not all(map(math.isfinite, (start, step, end))) or step <= 0 or end < start:
         raise argparse.ArgumentTypeError(f"bad sweep range {value}")
-    out = []
-    v = start
-    while v <= end + 1e-9:
+    points = math.floor((end + 1e-9 - start) / step) + 1
+    if points > 10**4:
+        raise argparse.ArgumentTypeError(f"sweep range {value} has more than 10^4 points")
+    out, v = [], start
+    while v <= end + 1e-9 and len(out) <= points:  # a step below v's precision stalls v
         out.append(round(v, 10))
         v += step
     return out

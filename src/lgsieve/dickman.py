@@ -39,8 +39,8 @@ def _interp(values, step, u):
 def build_dickman_table(step: float = DEFAULT_STEP, max_u: float = 10.0) -> DickmanTable:
     if not 0 < step < 1:
         raise ValueError(f"step out of (0,1): {step}")
-    if max_u < 1:
-        raise ValueError(f"max_u must be >= 1, got {max_u}")
+    if not 1 <= max_u < math.inf:  # nan fails both comparisons
+        raise ValueError(f"max_u must be >= 1 and finite, got {max_u}")
     n = int(math.ceil(max_u / step))
     values = np.ones(n + 1)
     for i in range(1, n + 1):

@@ -13,6 +13,7 @@ smooth mass lands within 2*gamma*sigma of sigma * sum1.
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MAX_PREC, Context, Inexact, Rounded
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,130 +190,37 @@ def difference_weights(A, x: int) -> WeightedSet:
     return WeightedSet(x, w)
 
 
-_NTT_PRIME = 15 * 2**27 + 1  # 2013265921; p - 1 = 2^27 * 3 * 5
-_NTT_ROOT = 31  # a primitive root mod _NTT_PRIME
-_NTT_MAX_LENGTH = 1 << 27  # the largest power of two dividing p - 1
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
 
 
-def _stage_twiddles(n: int, inverse: bool) -> list:
-    """[(h, w)] for the stage half-lengths h = n/2, n/4, ..., 1 of a
-    transform of length n (a power of two dividing p - 1): w[j] = r^j
-    mod p for j < h, uint64, where r is a primitive 2h-th root of unity,
-    inverted for the inverse transform.  The powers of the first stage
-    are built by doubling; every later stage's are a view of its even
-    entries."""
-    if n < 2:
-        return []
-    r = pow(_NTT_ROOT, (_NTT_PRIME - 1) // n, _NTT_PRIME)
-    if inverse:
-        r = pow(r, _NTT_PRIME - 2, _NTT_PRIME)
-    w = np.ones(n // 2, dtype=np.uint64)
-    m = 1
-    while m < w.size:
-        seg = w[m : 2 * m]
-        np.multiply(w[: seg.size], pow(r, m, _NTT_PRIME), out=seg)
-        seg %= _NTT_PRIME
-        m *= 2
-    stages = [(w.size, w)]
-    while stages[-1][0] > 1:
-        h, w = stages[-1]
-        stages.append((h // 2, w.reshape(-1, 2)[:, 0]))
-    return stages
+def _exact_sum_counts(A, B) -> np.ndarray:
+    """c[n] = #{(a, b) in A x B : a + b = n} as int64 for n up to
+    max(A) + max(B); A and B are distinct positive integer arrays.
 
+    Each set S is the decimal integer sum of 10^(k*(max(S) - s)), with
+    slots of k = len(str(min(|A|, |B|))) digits.  No count exceeds
+    min(|A|, |B|) < 10^k, so no carry crosses a slot, and the product's
+    slots, read from the left, are c[0], c[1], ...  A private ``decimal``
+    context traps any rounding, so the product is exact or raises.  Sums
+    of 2^27 or more raise ResourceLimitError before any allocation.
+    """
+    top = int(A.max(initial=0)) + int(B.max(initial=0))
+    if top >= 1 << 27:
+        raise ResourceLimitError(f"sums up to {top} reach 2^27: the digit strings need gigabytes")
+    k = len(str(min(A.size, B.size)))
 
-def _mulmod(a, b, scratch) -> None:
-    """a = a * b mod p in place, for a < 2p and b < p (the product is
-    below 2p^2 < 2^63); scratch has a's shape and may be b itself."""
-    np.multiply(a, b, out=a)
-    np.floor_divide(a, _NTT_PRIME, out=scratch)
-    scratch *= _NTT_PRIME
-    a -= scratch
+    def encode(S):
+        digits = np.full((int(S.max(initial=0)) + 1) * k, ord("0"), dtype=np.uint8)
+        digits[k * S + k - 1] = ord("1")
+        return _EXACT.create_decimal(digits.tobytes().decode("ascii"))
 
-
-def _butterflies(f, tmp, h: int, w):
-    """The pairs (u, v) = (f[i], f[i + h]) of every block of 2h entries,
-    as views, with the twiddle w[j] of the j-th pair of each block and
-    a scratch view of u's shape cut from tmp.  Below h = 8 each j is
-    one strided column, so that numpy's inner loops run along the long
-    axis."""
-    rows = f.reshape(-1, 2, h)
-    if h >= 8:
-        yield rows[:, 0], rows[:, 1], tmp.reshape(-1, h), w
-    else:
-        for j, t in enumerate(tmp.reshape(h, -1)):
-            yield rows[:, 0, j], rows[:, 1, j], t, int(w[j])
-
-
-def _ntt_forward(f) -> None:
-    """Decimation in frequency, in place on uint64 residues f (length a
-    power of two up to 2^27): natural order in, transform mod p out in
-    bit-reversed order.  Sums stay below 2p and products below 2p^2 <
-    2^63; a sum is brought below p by one wrapped subtraction of p and
-    a minimum.  The only temporaries are half-length: the scratch and
-    the twiddles."""
-    tmp = np.empty(f.size // 2, dtype=np.uint64)
-    for h, w in _stage_twiddles(f.size, inverse=False):
-        for u, v, t, wj in _butterflies(f, tmp, h, w):
-            np.subtract(u, v, out=t)
-            t += _NTT_PRIME  # u - v + p, in (0, 2p)
-            u += v
-            np.subtract(u, _NTT_PRIME, out=v)  # wraps above u when u < p
-            np.minimum(u, v, out=u)
-            t *= wj
-            np.floor_divide(t, _NTT_PRIME, out=v)
-            v *= _NTT_PRIME
-            np.subtract(t, v, out=v)
-
-
-def _ntt_inverse(f) -> None:
-    """Decimation in time, in place: undoes _ntt_forward, taking its
-    bit-reversed output back to the residues in natural order, the
-    division by the length included.  Between stages the entries are
-    only kept below 2p: each butterfly reduces u mod p before u + t and
-    u - t + p, and the division reduces them all."""
-    n = f.size
-    tmp = np.empty(n // 2, dtype=np.uint64)
-    for h, w in reversed(_stage_twiddles(n, inverse=True)):
-        for u, v, t, wj in _butterflies(f, tmp, h, w):
-            np.multiply(v, wj, out=t)
-            np.floor_divide(t, _NTT_PRIME, out=v)
-            v *= _NTT_PRIME
-            t -= v  # v * w mod p
-            np.subtract(u, _NTT_PRIME, out=v)
-            np.minimum(u, v, out=u)
-            np.subtract(u, t, out=v)
-            v += _NTT_PRIME
-            u += t
-    if n > 1:
-        for half in f.reshape(2, -1):
-            _mulmod(half, pow(n, _NTT_PRIME - 2, _NTT_PRIME), tmp)
-
-
-def _ntt_sum_counts(A, B) -> np.ndarray:
-    """c[n] = #{(a, b) in A x B : a + b = n} as int64, for n below the
-    least power of two above max(A) + max(B); A and B are distinct
-    positive integer arrays.  The indicator transforms mod p are
-    multiplied pointwise, and the result is exact because every count
-    is at most min(|A|, |B|) < p.  A length above 2^27 raises
-    ResourceLimitError before anything is allocated."""
-    if not (A.size and B.size):
-        return np.zeros(1, dtype=np.int64)
-    n = 1 << (int(A.max()) + int(B.max())).bit_length()
-    if n > _NTT_MAX_LENGTH:
-        raise ResourceLimitError(
-            f"sums up to {int(A.max()) + int(B.max())} need a transform of length {n}, "
-            f"above the 2^27 that p = {_NTT_PRIME} supports"
-        )
-    fa = np.zeros(n, dtype=np.uint64)
-    fa[A] = 1
-    _ntt_forward(fa)
-    fb = np.zeros(n, dtype=np.uint64)
-    fb[B] = 1
-    _ntt_forward(fb)
-    _mulmod(fa, fb, fb)
-    del fb
-    _ntt_inverse(fa)
-    return fa.view(np.int64)
+    product = _EXACT.to_sci_string(_EXACT.multiply(encode(A), encode(B))).zfill((top + 1) * k)
+    digits = np.frombuffer(product.encode("ascii"), dtype=np.uint8) - ord("0")
+    counts = np.zeros(top + 1, dtype=np.int64)
+    for column in digits.reshape(-1, k).T:
+        counts *= 10
+        counts += column
+    return counts
 
 
 def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli) -> bool:
@@ -323,11 +231,10 @@ def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli) -> bool:
     A and B must lie in [1, weights.x] and the moduli must be integers
     in [1, 2^31 - 1], else ValueError.  Both sides are
     ``multiple_sums``: of the weights, and of the pair-sum counts
-    c[n] = #{(a, b) : a + b = n} from one number-theoretic transform
-    mod p = 15 * 2^27 + 1 in integers only (``_ntt_sum_counts``), which
-    is exact because residues stay below 2^31, products below 2^63 and
-    counts below p.  Sums reach up to 2x, so x may be at most about
-    2^26: a longer transform raises ResourceLimitError.
+    c[n] = #{(a, b) : a + b = n} from one exact product of decimal
+    integers (``_exact_sum_counts``), in integers only.  Sums reach up
+    to 2x, so x may be at most about 2^26: sums of 2^27 or more raise
+    ResourceLimitError, a memory guard, before anything is allocated.
     """
     x = weights.x
     if x > INT32_MAX:
@@ -338,7 +245,7 @@ def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli) -> bool:
         not np.issubdtype(qs.dtype, np.integer) or qs.min() < 1 or qs.max() > INT32_MAX
     ):
         raise ValueError(f"moduli must be integers in [1, {INT32_MAX}]")
-    counts = _ntt_sum_counts(Aa, Bb)
+    counts = _exact_sum_counts(Aa, Bb)
     return np.array_equal(multiple_sums(weights.array, qs), multiple_sums(counts, qs))
 
 

@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgsieve import LGParams, build_prime_table, choose_cutoff, construct, load_json
 from lgsieve.cli import main, parse_args
@@ -48,6 +50,12 @@ _SWEEP = ["sweep", "--x", "100", "--delta", "0.2", "--gamma", "0.2", "--size-a",
         ([*_SWEEP, "0.5:0:0.9"], "argument --theta: bad sweep range 0.5:0:0.9"),
         ([*_SWEEP, "1:2"], "argument --theta: expected start:step:end, got 1:2"),
         ([*_SWEEP, "0.9:0.1:0.5"], "argument --theta: bad sweep range 0.9:0.1:0.5"),
+        ([*_SWEEP, "0.3:0.1:inf"], "argument --theta: bad sweep range 0.3:0.1:inf"),
+        ([*_SWEEP, "nan:0.1:0.9"], "argument --theta: bad sweep range nan:0.1:0.9"),
+        ([*_SWEEP, "0.3:nan:0.9"], "argument --theta: bad sweep range 0.3:nan:0.9"),
+        ([*_SWEEP, "0.3:1e-300:0.9"],
+         "argument --theta: sweep range 0.3:1e-300:0.9 has more than 10^4 points"),
+        ([*_SWEEP, "0:1e-4:1"], "argument --theta: sweep range 0:1e-4:1 has more than 10^4 points"),
     ],
 )
 def test_parse_rejects_bad_values(capsys, argv, message):
@@ -55,6 +63,32 @@ def test_parse_rejects_bad_values(capsys, argv, message):
         parse_args(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def _accumulated_grid(start, step, end):
+    # the accumulating loop that sweep grids have always used
+    out, v = [], start
+    while v <= end + 1e-9:
+        out.append(round(v, 10))
+        v += step
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.floats(min_value=0, max_value=2),
+    step=st.floats(min_value=1e-3, max_value=1),
+    span=st.floats(min_value=0, max_value=3),
+)
+def test_sweep_grid_values_unchanged_property(start, step, span):
+    spec = f"{start!r}:{step!r}:{start + span!r}"
+    assert parse_args([*_SWEEP, spec]).theta == _accumulated_grid(start, step, start + span)
+
+
+def test_sweep_grid_limits():
+    assert len(parse_args([*_SWEEP, "0:1e-4:0.99999"]).theta) == 10**4
+    # v + step == v above 4096: the grid ends instead of looping forever
+    assert len(parse_args([*_SWEEP, "4096:1.5e-13:4096"]).theta) <= 10**4 + 1
 
 
 def test_parse_missing_params():
@@ -143,6 +177,8 @@ def test_sumset_lg_at_2x_with_set_file(tmp_path, capsys):
         (["dickman", "--step", "1"], "step out of (0,1)"),
         (["dickman", "--max-u", "0.5"], "max_u must be >= 1"),
         (["coverage", "--x", "100", "--delta", "0.2", "--c", "0.2"], "need 0 < delta < c <= 1"),
+        (["dickman", "--max-u", "inf"], "max_u must be >= 1 and finite, got inf"),
+        (["dickman", "--max-u", "nan"], "max_u must be >= 1 and finite, got nan"),
     ],
 )
 def test_range_errors_exit_2(capsys, argv, message):

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 import tracemalloc
@@ -412,58 +413,62 @@ def sumset_oracle(A, B, x):
     nb=st.integers(min_value=0, max_value=300),
     top=st.booleans(),
 )
-def test_ntt_sum_counts_match_enumeration_property(x, seed, na, nb, top):
+def test_exact_sum_counts_match_enumeration_property(x, seed, na, nb, top):
     # shrinks to empty sets and singletons; with top the sums reach 2x
     rng = random.Random(seed)
     A = rng.sample(range(1, x + 1), min(na, x))
     B = rng.sample(range(1, x + 1), min(nb, x))
     if top:
         A, B = A + [x], B + [x]
-    got = smoothcount._ntt_sum_counts(distinct_ints(A, x), distinct_ints(B, x))
+    got = smoothcount._exact_sum_counts(distinct_ints(A, x), distinct_ints(B, x))
     want = sumset_oracle(A, B, 2 * x)
     assert got.dtype == np.int64
     if A and B:
-        assert got.size == 1 << (max(A) + max(B)).bit_length()
+        assert got.size == max(A) + max(B) + 1
     size = max(got.size, want.size)
     assert np.array_equal(np.pad(got, (0, size - got.size)), np.pad(want, (0, size - want.size)))
 
 
-@pytest.mark.parametrize("log_n", range(0, 13))
-def test_ntt_inverse_undoes_forward(log_n):
-    n = 1 << log_n
-    rng = np.random.default_rng(log_n)
-    f = rng.integers(0, smoothcount._NTT_PRIME, n, dtype=np.int64).astype(np.uint64)
-    f[-1] = smoothcount._NTT_PRIME - 1  # the largest residue
-    g = f.copy()
-    smoothcount._ntt_forward(g)
-    assert g.max() < smoothcount._NTT_PRIME
-    assert n < 4 or not np.array_equal(g, f)
-    smoothcount._ntt_inverse(g)
-    assert np.array_equal(g, f)
+@pytest.mark.parametrize("top", [9, 10])
+def test_exact_sum_counts_slot_width_edges(top):
+    # c[top + 1] = top needs k = 1 digit for 9 and k = 2 for 10: a carry
+    # out of a one-digit slot would corrupt both neighbours
+    S = np.arange(1, top + 1)
+    got = smoothcount._exact_sum_counts(S, S)
+    indicator = np.r_[0, np.ones(top, dtype=np.int64)]
+    assert got[top + 1] == top
+    assert np.array_equal(got, np.convolve(indicator, indicator))
 
 
-def test_ntt_constants():
-    p, g = smoothcount._NTT_PRIME, smoothcount._NTT_ROOT
-    assert p == 15 * 2**27 + 1 == 2013265921
-    assert p - 1 == 2**27 * 3 * 5
-    assert all(p % q for q in build_prime_table(math.isqrt(p)).primes.tolist())  # p is prime
-    # g generates the whole group: no maximal proper subgroup holds it
-    assert all(pow(g, (p - 1) // r, p) != 1 for r in (2, 3, 5))
-    assert smoothcount._NTT_MAX_LENGTH == 2**27
-    # exactness: residues below 2^31, so (2p - 1) * (p - 1) fits uint64 and
-    # int64, and a count is at most |A| <= x < 2^27 < p
-    assert p < 2**31 and (2 * p - 1) * (p - 1) < 2**63
+def test_exact_sum_counts_raise_rather_than_round(monkeypatch):
+    # ten digits cannot hold the product: the trapped context must raise,
+    # not hand back rounded counts
+    monkeypatch.setattr(smoothcount._EXACT, "prec", 10)
+    got = None
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        got = smoothcount._exact_sum_counts(np.arange(1, 50), np.arange(1, 50))
+    assert got is None
+
+
+def test_exact_sum_counts_leave_the_callers_decimal_context_alone():
+    S = np.arange(1, 200)
+    want = smoothcount._exact_sum_counts(S, S)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.traps[decimal.Inexact], ctx.traps[decimal.Rounded] = 3, True, True
+        ctx.clear_flags()
+        assert np.array_equal(smoothcount._exact_sum_counts(S, S), want)
+        assert not any(ctx.flags.values())
 
 
 def test_ntt_length_guard_raises_before_allocating():
-    # x = 2^27 fits int32, but sums reach 2^28: a transform of length 2^29
+    # x = 2^27 fits int32, but sums reach 2^28, far beyond the 2^27 guard
     huge = SimpleNamespace(x=2**27, array=np.zeros(4, dtype=np.int64))
     tracemalloc.start()
     try:
         with pytest.raises(smoothcount.ResourceLimitError, match="2\\^27"):
             residue_convolution_identity_ok(huge, [2**27], [2**27], [2])
         with pytest.raises(smoothcount.ResourceLimitError):
-            smoothcount._ntt_sum_counts(np.array([2**26]), np.array([2**26]))  # length 2^28
+            smoothcount._exact_sum_counts(np.array([2**26]), np.array([2**26]))  # sum 2^27
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
