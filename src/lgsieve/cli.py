@@ -16,24 +16,18 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import random
 import sys
 
 import numpy as np
 
 from . import dickman, discrepancy, lgset as lg, smoothcount
-from .primes import DEFAULT_TABLE_CEILING, ResourceLimitError, build_prime_table
+from .primes import ResourceLimitError, build_prime_table, check_array_bytes
 
 SWEEP_CSV_HEADER = (
     "x,delta,c,theta,gamma,setsizeA,setsizeB,seed,smooth_count,"
     "sigma_sum1,rho_theta,deviation,hyp1,hyp2,conclusion"
 )
-
-
-def _table_ceiling() -> int:
-    env = os.environ.get("LGSIEVE_TABLE_LIMIT")
-    return int(env) if env else DEFAULT_TABLE_CEILING
 
 
 def _positive_int(value):
@@ -175,7 +169,7 @@ def _load_or_build(args, x=None):
     x = x or args.x
     # LGParams checks delta < c before the table is built
     params = lg.LGParams(x, args.delta, args.c or 1.0)
-    table = build_prime_table(x, ceiling=_table_ceiling())
+    table = build_prime_table(x)
     s = lg.construct(params, table)
     if args.c is None:
         s = lg.with_cutoff(s, lg.choose_cutoff(s, args.epsilon))
@@ -186,7 +180,7 @@ def _set_and_table(args, x=None):
     """The set and a prime table of size x, for commands that read one."""
     s, table = _load_or_build(args, x)
     if table is None:
-        table = build_prime_table(s.params.x, ceiling=_table_ceiling())
+        table = build_prime_table(s.params.x)
     return s, table
 
 
@@ -235,7 +229,7 @@ def _cmd_dickman(args) -> int:
     emp = [""] * len(us)
     if args.x is not None:
         # the sieve needs a limit >= 2; Psi(1, y) = 1 reads any table
-        pt = build_prime_table(max(args.x, 2), ceiling=_table_ceiling())
+        pt = build_prime_table(max(args.x, 2))
         k = sum(u < 1.0 for u in us)  # the density is defined on the suffix u >= 1
         emp[k:] = map(repr, dickman.empirical_rho(args.x, us[k:], pt).tolist())
     x = "" if args.x is None else args.x
@@ -269,6 +263,7 @@ def _cmd_sieve_check(args) -> int:
 
 
 def _make_weights(kind, x, rng) -> smoothcount.WeightedSet:
+    check_array_bytes(x + 1, 8, "the weight array")  # float64, for every kind
     if kind == "uniform":
         arr = np.ones(x + 1)
         arr[0] = 0.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .powers import real_pow
-from .primes import PrimeTable, psi_count
+from .primes import PrimeTable, check_array_bytes, psi_count
 
 DEFAULT_STEP = 2.0**-10
 
@@ -41,7 +41,8 @@ def build_dickman_table(step: float = DEFAULT_STEP, max_u: float = 10.0) -> Dick
         raise ValueError(f"step out of (0,1): {step}")
     if not 1 <= max_u < math.inf:  # nan fails both comparisons
         raise ValueError(f"max_u must be >= 1 and finite, got {max_u}")
-    n = int(math.ceil(max_u / step))
+    check_array_bytes(max_u / step + 1, 8, "the rho table")  # inf on overflow, unlike ceil
+    n = math.ceil(max_u / step)
     values = np.ones(n + 1)
     for i in range(1, n + 1):
         u = i * step
@@ -74,7 +75,7 @@ def empirical_rho(x: int, u, table: PrimeTable):
     """Psi(x, x^(1/u)) / x, the finite-x smooth density, for u >= 1 or
     a 1-D array of such u (a float, or a float64 array, back)."""
     us = np.asarray(u, dtype=float)
-    if np.any(us < 1):
+    if not np.all(us >= 1):  # nan fails the comparison
         raise ValueError(f"u must be >= 1, got {u}")
     y = np.array([real_pow(x, 1.0 / v) for v in us.flat]).reshape(us.shape)
     return psi_count(x, y, table) / x

@@ -13,7 +13,7 @@ moduli this gives the unconditional bound
 sum_q sum_a C(a,q)(C(a,q) - 1) <= |C|(|C| - 1), which holds because a
 difference c - c' of two test elements has at most one member divisor.
 
-``_pair_counts`` owns every pair count (sums and differences): a
+``_pair_counts`` owns every reported pair count (sums and differences): a
 float64 FFT product, rounded to integers and certified before use.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 # largest_int_below_pow is unused here; perfbench/tests asserts this binding
 from .lgset import LGSet, coverage, largest_int_below_pow  # noqa: F401
 from .powers import real_pow
-from .primes import INT32_MAX, PrimeTable
+from .primes import INT32_MAX, PrimeTable, check_array_bytes
 
 MODULUS_CSV_HEADER = "q,sum_sq,contribution"
 
@@ -156,6 +156,7 @@ def _pair_counts(A: np.ndarray, B: np.ndarray | None, x: int) -> np.ndarray:
             raise ValueError(f"sums exceed x = {x}")
         m = _fft_length(x + 1)
         total = n_a * int(B.size)
+    check_array_bytes(m, 8, "the FFT buffer")  # the largest; x + 1 <= m int64 counts fit too
     # each buffer is dropped before the next is made: this bounds the peak RSS
     u = np.zeros(m)
     u[A] = 1.0

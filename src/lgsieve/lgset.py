@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .powers import floor_pow, largest_int_below_pow
-from .primes import INT32_MAX, PrimeTable
+from .primes import INT32_MAX, PrimeTable, check_array_bytes
 
 COVERAGE_CSV_HEADER = "x,delta,cutoff,covered,exceptional,harmonic_sum,epsilon_prime"
 
@@ -97,6 +97,7 @@ class LGSet:
         sum floor(x/q).  Builds the divisor map on first use."""
         if self._divisors is None:
             x, members = self.params.x, self.members
+            check_array_bytes(x + 1, 4, "the divisor map")
             div = np.zeros(x + 1, dtype=np.int32)
             i = _slice_count(members, x)
             for q in members[:i]:

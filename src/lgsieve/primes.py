@@ -13,12 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TABLE_CEILING = 10**8
 INT32_MAX = 2**31 - 1  # tables, divisor maps and residues are int32
+# the largest array of O(x) entries any layer may allocate: 10^8 int32 entries
+ARRAY_BYTES_MAX = 4 * 10**8
 
 
 class ResourceLimitError(RuntimeError):
-    """Requested sieve limit exceeds the configured memory ceiling."""
+    """An array would exceed ARRAY_BYTES_MAX; raised before it is allocated."""
+
+
+def check_array_bytes(entries, itemsize: int, what: str) -> None:
+    """Raise ResourceLimitError if ``entries`` items of ``itemsize`` bytes
+    exceed ARRAY_BYTES_MAX; ``entries`` may be a float, inf included."""
+    size = entries * itemsize
+    if size > ARRAY_BYTES_MAX:  # .12g prints a huge size in exponent form
+        raise ResourceLimitError(f"{what} needs {size:.12g} bytes; the limit is {ARRAY_BYTES_MAX}")
 
 
 class PrimeTable:
@@ -73,14 +82,10 @@ def _primes_up_to(n: int) -> np.ndarray:
     return np.flatnonzero(is_prime)
 
 
-def build_prime_table(limit: int, ceiling: int = DEFAULT_TABLE_CEILING) -> PrimeTable:
+def build_prime_table(limit: int) -> PrimeTable:
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    ceiling = min(ceiling, INT32_MAX)  # int32 entries
-    if limit > ceiling:
-        raise ResourceLimitError(
-            f"sieve limit {limit} exceeds ceiling {ceiling}"
-        )
+    check_array_bytes(limit + 1, 4, "the prime table")  # and the lazy lpf array, same size
     spf = np.zeros(limit + 1, dtype=np.int32)
     # descending, so at each composite n the write of its smallest prime
     # factor p (p * p <= n) lands last
@@ -129,6 +134,8 @@ def psi_count(x: int, y, table: PrimeTable):
     histogram of the largest prime factors at floor(y)."""
     if not 1 <= x <= table.limit:
         raise ValueError(f"x={x} outside [1, {table.limit}]")
+    if np.isnan(y).any():  # a nan bound would cast to an arbitrary index
+        raise ValueError(f"smoothness bound y must not be nan, got {y}")
     # cum[k] = #{n <= x : lpf(n) <= k}; lpf >= 1, so cum[0] = 0 serves y < 1
     cum = np.cumsum(np.bincount(table.largest_factor_array()[1 : x + 1]))
     counts = cum[np.clip(np.floor(y), 0, cum.size - 1).astype(np.int64)]

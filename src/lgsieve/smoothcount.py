@@ -22,7 +22,7 @@ from . import dickman
 from .discrepancy import _pair_counts, distinct_ints, multiple_sums, variance_report
 from .lgset import LGSet, coverage, largest_int_below_pow
 from .powers import real_pow
-from .primes import INT32_MAX, PrimeTable, ResourceLimitError
+from .primes import INT32_MAX, PrimeTable, check_array_bytes
 
 
 @dataclass
@@ -201,13 +201,12 @@ def _exact_sum_counts(A, B) -> np.ndarray:
     slots of k = len(str(min(|A|, |B|))) digits.  No count exceeds
     min(|A|, |B|) < 10^k, so no carry crosses a slot, and the product's
     slots, read from the left, are c[0], c[1], ...  A private ``decimal``
-    context traps any rounding, so the product is exact or raises.  Sums
-    of 2^27 or more raise ResourceLimitError before any allocation.
+    context traps any rounding, so the product is exact or raises.
     """
     top = int(A.max(initial=0)) + int(B.max(initial=0))
-    if top >= 1 << 27:
-        raise ResourceLimitError(f"sums up to {top} reach 2^27: the digit strings need gigabytes")
     k = len(str(min(A.size, B.size)))
+    # the product's digit strings take k bytes per sum, the counts 8
+    check_array_bytes(top + 1, max(k, 8), "the exact pair-sum count array")
 
     def encode(S):
         digits = np.full((int(S.max(initial=0)) + 1) * k, ord("0"), dtype=np.uint8)
@@ -232,9 +231,7 @@ def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli) -> bool:
     in [1, 2^31 - 1], else ValueError.  Both sides are
     ``multiple_sums``: of the weights, and of the pair-sum counts
     c[n] = #{(a, b) : a + b = n} from one exact product of decimal
-    integers (``_exact_sum_counts``), in integers only.  Sums reach up
-    to 2x, so x may be at most about 2^26: sums of 2^27 or more raise
-    ResourceLimitError, a memory guard, before anything is allocated.
+    integers (``_exact_sum_counts``), in integers only.
     """
     x = weights.x
     if x > INT32_MAX:

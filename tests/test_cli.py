@@ -3,12 +3,14 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgsieve import LGParams, build_prime_table, choose_cutoff, construct, load_json
+from lgsieve import cli, primes
 from lgsieve.cli import main, parse_args
 
 
@@ -328,25 +330,82 @@ def test_out_path_unwritable(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("lgsieve:")
 
 
-def test_table_limit_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("LGSIEVE_TABLE_LIMIT", "50")
+def test_table_over_byte_limit_exits_2(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "set.json"
+    assert run_cli("build", "--x", "100", "--delta", "0.2", "--out", str(path)) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(primes, "ARRAY_BYTES_MAX", 4 * 100)  # x = 100 needs 101 entries
     assert run_cli(
         "verify", "--x", "100", "--delta", "0.2"
     ) == 2  # resource error surfaces as a usage-level failure
+    assert capsys.readouterr().err == (
+        "lgsieve: the prime table needs 404 bytes; the limit is 400\n"
+    )
+    # a loaded set builds no table, but verify still builds its divisor map
+    assert run_cli("verify", "--set", str(path)) == 2
+    assert capsys.readouterr().err == (
+        "lgsieve: the divisor map needs 404 bytes; the limit is 400\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["verify", "build"])
-def test_loaded_set_builds_no_table(tmp_path, monkeypatch, capsys, command):
+def test_loaded_set_builds_no_table(tmp_path, monkeypatch, command):
     # build and verify never read a prime table, so a loaded set gets none
     path, copy = tmp_path / "set.json", tmp_path / "copy.json"
     assert run_cli("build", "--x", "100", "--delta", "0.2", "--out", str(path)) == 0
-    monkeypatch.setenv("LGSIEVE_TABLE_LIMIT", "50")
+    limits, inner = [], cli.build_prime_table
+    monkeypatch.setattr(cli, "build_prime_table", lambda n: limits.append(n) or inner(n))
     extra = ["--out", str(copy)] if command == "build" else []
     assert run_cli(command, "--set", str(path), *extra) == 0
     assert command != "build" or load_json(copy) == load_json(path)
-    capsys.readouterr()
-    assert run_cli("coverage", "--set", str(path)) == 2  # coverage reads the table
-    assert "limit" in capsys.readouterr().err
+    assert limits == []
+    assert run_cli("coverage", "--set", str(path)) == 0
+    assert limits == [100]  # coverage reads the table
+
+
+def test_loaded_set_over_byte_limit_exits_2_before_allocating(tmp_path, capsys):
+    # a --set file builds no table, so the divisor map's own check stops
+    # x = 2*10^9 before its 8 GB of int32 entries are allocated
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"x": 2 * 10**9, "delta": 0.1, "c": 0.5, "members": [2]}))
+    tracemalloc.start()
+    try:
+        assert run_cli("verify", "--set", str(path)) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert capsys.readouterr().err == (
+        "lgsieve: the divisor map needs 8000000004 bytes; the limit is 400000000\n"
+    )
+
+
+def test_theorem2_weights_over_byte_limit_exit_2(monkeypatch, capsys):
+    # at x = 100 the table and the divisor map take 404 bytes, the weights 808
+    monkeypatch.setattr(primes, "ARRAY_BYTES_MAX", 8 * 101 - 1)
+    argv = ["theorem2", "--x", "100", "--delta", "0.2", "--theta", "0.5", "--gamma", "0.2"]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (
+        "lgsieve: the weight array needs 808 bytes; the limit is 807\n"
+    )
+    monkeypatch.setattr(primes, "ARRAY_BYTES_MAX", 8 * 101)
+    assert run_cli(*argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["--step", "1e-320"], "inf"),  # max_u / step overflows a float
+        (["--max-u", "1e300", "--step", "1e-300"], "inf"),
+        (["--max-u", "1e300"], "8.192e+303"),
+        (["--max-u", "1000000"], "8192000008"),
+    ],
+)
+def test_dickman_table_over_byte_limit_exits_2(capsys, argv, size):
+    assert run_cli("dickman", *argv) == 2
+    assert capsys.readouterr().err == (
+        f"lgsieve: the rho table needs {size} bytes; the limit is 400000000\n"
+    )
 
 
 _SET = ["--x", "10000", "--delta", "0.05"]

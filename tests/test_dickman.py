@@ -91,6 +91,12 @@ def test_empirical_rho_requires_u_at_least_one(table10k):
         empirical_rho(10**4, [1.0, 2.0, 0.5], table10k)
 
 
+@pytest.mark.parametrize("u", [math.nan, [2.0, math.nan]])
+def test_empirical_rho_rejects_nan(table10k, u):
+    with pytest.raises(ValueError, match="u must be >= 1"):
+        empirical_rho(100, u, table10k)
+
+
 @pytest.mark.parametrize("x", [1, 97, 10**4])
 def test_empirical_rho_array_equals_scalar_calls(table10k, x):
     us = [1.0, 1.001, 1.5, 2.0, 2.7, 3.0, 4.25, 6.0, 20.0]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgsieve import LGParams, LGSet, coverage, variance_report
-from lgsieve import discrepancy
+from lgsieve import ResourceLimitError, discrepancy, primes
 from lgsieve.discrepancy import _fft_length, _pair_counts, distinct_ints, multiple_sums
 
 
@@ -225,6 +225,18 @@ def test_pair_counts_certificate_raises(monkeypatch, shift, what, sums):
     A = distinct_ints(range(1, 40, 3), 100)
     with pytest.raises(RuntimeError, match=what):
         _pair_counts(A, A if sums else None, 100)
+
+
+def test_pair_counts_over_byte_limit_raises(monkeypatch, set100):
+    # at x = 100 sums take _fft_length(101) = 108 float64 entries,
+    # differences _fft_length(200) = 200
+    monkeypatch.setattr(primes, "ARRAY_BYTES_MAX", 8 * 108)
+    A = distinct_ints([1, 2, 3], 100)
+    assert int(_pair_counts(A, A, 100).sum()) == 9
+    with pytest.raises(ResourceLimitError, match="the FFT buffer needs 1600 bytes"):
+        _pair_counts(A, None, 100)
+    with pytest.raises(ResourceLimitError, match="the FFT buffer"):
+        variance_report(range(1, 51), set100, 1.0, 0.4, eps_prime=0.34)
 
 
 def test_variance_report_certificate_raises(monkeypatch, set100):

@@ -113,9 +113,31 @@ def test_limit_too_small():
         build_prime_table(1)
 
 
-def test_limit_over_ceiling():
-    with pytest.raises(ResourceLimitError):
-        build_prime_table(10**6, ceiling=10**5)
+def test_limit_over_array_bytes_max(monkeypatch):
+    # limit + 1 int32 entries: 10^5 + 1 of them fill the limit exactly
+    monkeypatch.setattr(primes_module, "ARRAY_BYTES_MAX", 4 * (10**5 + 1))
+    assert build_prime_table(10**5).limit == 10**5
+    with pytest.raises(ResourceLimitError, match="the prime table needs 400008 bytes"):
+        build_prime_table(10**5 + 1)
+
+
+def test_default_byte_limit_allows_tables_below_1e8():
+    # 10^8 int32 entries, the table up to x = 10^8 - 1; checked before allocating
+    assert primes_module.ARRAY_BYTES_MAX == 4 * 10**8
+    primes_module.check_array_bytes(10**8, 4, "the prime table")
+    with pytest.raises(ResourceLimitError, match="400000004 bytes; the limit is 400000000"):
+        build_prime_table(10**8)
+
+
+@pytest.mark.parametrize(
+    "entries, shown",
+    [(math.inf, "inf"), (10**300, "8e+300"), (1e300, "8e+300"), (2**31, "17179869184")],
+    ids=["inf", "int-1e300", "float-1e300", "2^31"],
+)
+def test_byte_limit_message_stays_short(entries, shown):
+    with pytest.raises(ResourceLimitError) as exc:
+        primes_module.check_array_bytes(entries, 8, "an array")
+    assert str(exc.value) == f"an array needs {shown} bytes; the limit is 400000000"
 
 
 def test_prime_count_1e6_against_independent_sieve():
@@ -235,3 +257,9 @@ def test_psi_count_array_matches_oracle(table10k, x):
 def test_psi_full_for_large_y(table10k):
     assert psi_count(10**4, 10**4, table10k) == 10**4
 
+
+@pytest.mark.parametrize("y", [math.nan, np.array([2.0, math.nan])])
+def test_psi_rejects_nan_bound(table1k, y):
+    # a nan bound used to cast to an arbitrary index and raise IndexError
+    with pytest.raises(ValueError, match="nan"):
+        psi_count(100, y, table1k)

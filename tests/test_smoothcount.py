@@ -25,7 +25,7 @@ from lgsieve import (
 )
 from lgsieve.powers import largest_int_below_pow, real_pow
 from lgsieve.primes import build_prime_table, largest_prime_factor
-from lgsieve import smoothcount
+from lgsieve import ResourceLimitError, primes, smoothcount
 from lgsieve.cli import _make_weights
 from lgsieve.discrepancy import distinct_ints
 from lgsieve.smoothcount import residue_convolution_identity_ok
@@ -460,19 +460,28 @@ def test_exact_sum_counts_leave_the_callers_decimal_context_alone():
         assert not any(ctx.flags.values())
 
 
-def test_ntt_length_guard_raises_before_allocating():
-    # x = 2^27 fits int32, but sums reach 2^28, far beyond the 2^27 guard
+def test_exact_sum_counts_over_byte_limit_raise_before_allocating():
+    # x = 2^27 fits int32, but sums reach 2^28: 2^28 + 1 int64 counts are 2 GiB
     huge = SimpleNamespace(x=2**27, array=np.zeros(4, dtype=np.int64))
     tracemalloc.start()
     try:
-        with pytest.raises(smoothcount.ResourceLimitError, match="2\\^27"):
+        with pytest.raises(ResourceLimitError, match="the exact pair-sum count array needs"):
             residue_convolution_identity_ok(huge, [2**27], [2**27], [2])
-        with pytest.raises(smoothcount.ResourceLimitError):
+        with pytest.raises(ResourceLimitError):
             smoothcount._exact_sum_counts(np.array([2**26]), np.array([2**26]))  # sum 2^27
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_exact_sum_counts_byte_limit_edge(monkeypatch):
+    # sums up to 200 take 201 counts of 8 bytes; k = 1 digit per slot is less
+    monkeypatch.setattr(primes, "ARRAY_BYTES_MAX", 8 * 201)
+    S = np.array([1, 100])
+    assert smoothcount._exact_sum_counts(S, S)[[2, 101, 200]].tolist() == [1, 2, 1]
+    with pytest.raises(ResourceLimitError):
+        smoothcount._exact_sum_counts(S, np.array([1, 101]))
 
 
 def difference_oracle(A, x):

@@ -54,6 +54,46 @@ def test_fft_only_in_pair_counts():
     assert owners == {("discrepancy.py", "_pair_counts")}
 
 
+def _calls_of(tree, name):
+    """Enclosing function of every call to ``name`` or ``<module>.name``."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_resource_limit_raised_only_by_check_array_bytes():
+    # one owner of the byte limit: every O(x) array is checked through it
+    owners = {
+        (path.name, func)
+        for path in sorted(SRC.glob("*.py"))
+        for func in _calls_of(ast.parse(path.read_text(), str(path)), "ResourceLimitError")
+    }
+    assert owners == {("primes.py", "check_array_bytes")}
+
+
+def test_reads_no_environment_variables():
+    # limits are constants in the source, not settings read at run time
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+        & {"environ", "environb", "getenv", "getenvb"}
+    ]
+    assert found == []
+
+
 def _names_reached(module, func):
     """Every name and attribute referenced by ``func`` and by the
     functions of the same module that it calls, transitively."""
