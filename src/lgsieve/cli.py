@@ -160,7 +160,8 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def _load_or_build(args, x=None):
     """(set, prime table): the set built at bound x (default --x) and its
-    table, or the set from --set and None, since build and verify read none."""
+    table, or the set from --set and None, since build, verify, coverage
+    and sieve-check read none."""
     if args.set_path:
         s = lg.load_json(args.set_path)
         if args.c is not None:
@@ -216,7 +217,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    s, table = _set_and_table(args)
+    s, table = _load_or_build(args)
     cutoff = args.cutoff if args.cutoff is not None else s.params.c
     rep = lg.coverage(s, cutoff, table)
     return _emit([lg.COVERAGE_CSV_HEADER, rep.csv_row()], args.out)
@@ -239,7 +240,7 @@ def _cmd_dickman(args) -> int:
 
 
 def _cmd_sieve_check(args) -> int:
-    s, table = _set_and_table(args)
+    s, table = _load_or_build(args)
     x = s.params.x
     cutoff = s.params.c
     cov = lg.coverage(s, cutoff, table)

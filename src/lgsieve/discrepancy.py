@@ -27,7 +27,7 @@ import numpy as np
 # largest_int_below_pow is unused here; perfbench/tests asserts this binding
 from .lgset import LGSet, coverage, largest_int_below_pow  # noqa: F401
 from .powers import real_pow
-from .primes import INT32_MAX, PrimeTable, check_array_bytes
+from .primes import PrimeTable, check_array_bytes
 
 MODULUS_CSV_HEADER = "q,sum_sq,contribution"
 
@@ -70,47 +70,6 @@ def distinct_ints(values, hi: int, name: str = "elements") -> np.ndarray:
         if not 1 <= arr[0] <= arr[-1] <= hi:
             raise ValueError(f"{name} must lie in [1, {hi}]")
     return arr
-
-
-def multiple_sums(w, moduli) -> np.ndarray:
-    """[w[q] + w[2q] + ... for q in moduli], by one gather over the
-    multiples, in the dtype numpy's sum gives w (int64 for integer w).
-
-    x = len(w) - 1 must be at most 2^31 - 1 and the moduli integers
-    >= 1, else ValueError; a modulus above x gives 0.  The indices k*q
-    are int32, built with np.repeat over the counts floor(x/q), and each
-    modulus's segment is summed on its own (np.add.reduceat), so no
-    running total crosses moduli.  The gather runs in pieces of at most
-    x indices.  The moduli of an LG set need one piece: no m <= x has
-    two member divisors, so sum floor(x/q) <= x.
-    """
-    w = np.asarray(w)
-    x = w.size - 1
-    if w.ndim != 1 or not 0 <= x <= INT32_MAX:
-        raise ValueError(f"weights must be one array of 1 to 2^31 entries, got shape {w.shape}")
-    qs = np.asarray(moduli, dtype=np.int64)
-    if qs.size and qs.min() < 1:
-        raise ValueError("moduli must be >= 1")
-    counts = x // qs
-    ends = np.cumsum(counts)
-    out = np.zeros(qs.size, dtype=w[:0].sum().dtype)
-    lo = 0
-    while lo < qs.size:
-        base = int(ends[lo] - counts[lo])
-        hi = int(np.searchsorted(ends, base + x, side="right"))  # > lo: counts[lo] <= x
-        c = counts[lo:hi]
-        starts = ends[lo:hi] - c - base
-        n = int(ends[hi - 1]) - base
-        if n:
-            k = np.arange(1, n + 1, dtype=np.int32)
-            k -= np.repeat(starts.astype(np.int32), c)
-            k *= np.repeat(qs[lo:hi].astype(np.int32), c)
-            vals = w[k]
-            del k
-            nz = np.flatnonzero(c)
-            out[lo + nz] = np.add.reduceat(vals, starts[nz])
-        lo = hi
-    return out
 
 
 def _fft_length(n: int) -> int:
@@ -197,10 +156,11 @@ def variance_report(
 
     Each modulus q takes sum_a C(a, q)^2 = |C| + 2 (D[q] + D[2q] + ...)
     from one certified difference count D of C (``_pair_counts``), and
-    ``multiple_sums`` reads every modulus's D[q] + D[2q] + ... in one
-    gather of sum floor(x/q) entries, at most x on an LG set.  So the
-    cost is one FFT and one gather, not one residue histogram or strided
-    walk per modulus.  The identity holds for any moduli, LG or not.
+    ``LGSet.multiple_sums`` reads every modulus's D[q] + D[2q] + ... in
+    one pass over the divisor map.  So the cost is one FFT and one
+    np.add.at, not one residue histogram or strided walk per modulus.
+    The moduli are the members below x^cutoff, so the set must be LG
+    (ValueError otherwise).
 
     eps' comes from a coverage scan at the same cutoff unless the
     caller passes a precomputed value; ``table`` is passed through to
@@ -214,15 +174,16 @@ def variance_report(
     D = _pair_counts(C, None, x)
 
     qs = np.asarray(moduli, dtype=np.int64)
-    pairs = multiple_sums(D, qs).tolist()  # D[q] + D[2q] + ... per modulus
+    pairs = lgset.multiple_sums(D, qs)  # D[q] + D[2q] + ... per modulus
     del D
-    per_modulus = []
-    for q, p in zip(moduli, pairs):
-        ssq = size + 2 * p
-        per_modulus.append((q, ssq, ssq - size * size / q))
-    pair_sum = 2 * sum(pairs)
+    ssq = size + 2 * pairs
+    # size <= x <= 2.5e7, which the FFT buffer's byte limit allows, so
+    # ssq <= size^2 < 2^53 are exact floats: the roundings of int / int
+    contrib = ssq - size * size / qs
+    per_modulus = list(zip(moduli, ssq.tolist(), contrib.tolist()))
+    pair_sum = 2 * int(pairs.sum())
     sum_sq_total = size * len(moduli) + pair_sum
-    lhs = math.fsum(contrib for _, _, contrib in per_modulus)
+    lhs = math.fsum(contrib.tolist())
     # same quantity via the expanded identity sum C(a,q)^2 - |C|^2 sum 1/q
     lhs_alt = sum_sq_total - size * size * math.fsum((1.0 / qs).tolist())
     scale = max(abs(lhs), abs(lhs_alt), 1.0)

@@ -121,6 +121,31 @@ class LGSet:
             )
         return self._divisors[0]
 
+    def multiple_sums(self, w, moduli) -> np.ndarray:
+        """[w[q] + w[2q] + ... for q in moduli], as int64.
+
+        On an LG set the multiples of member q are exactly the m with
+        div[m] == q, so one np.add.at over the divisor map sums every
+        member's multiples at once, each into its own int64 total.
+        Raises ValueError unless w is an integer array of x + 1 entries,
+        every modulus is a member and the set is LG.
+        """
+        x = self.params.x
+        w = np.asarray(w)
+        if w.shape != (x + 1,) or not np.can_cast(w.dtype, np.int64):
+            raise ValueError(f"weights must be an integer array of x + 1 = {x + 1} entries")
+        div = self.divisor_map()
+        qs = np.asarray(moduli)
+        if qs.size and (
+            qs.dtype.kind not in "iu" or qs.min() < 1 or qs.max() > x
+            or not np.array_equal(div[qs], qs)  # after the range check: -q would wrap
+        ):
+            raise ValueError("moduli must be integer members of the set")
+        check_array_bytes(x + 1, 8, "the multiple sums")
+        sums = np.zeros(x + 1, dtype=np.int64)
+        np.add.at(sums, div, w)
+        return sums[qs.astype(np.int64)]
+
     def count_below(self, c: float) -> int:
         """Number k of members below x^c, for delta < c <= 1 (ValueError
         otherwise); members[:k] are the moduli of cutoff exponent c."""

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dickman
-from .discrepancy import _pair_counts, distinct_ints, multiple_sums, variance_report
+from .discrepancy import _pair_counts, distinct_ints, variance_report
 from .lgset import LGSet, coverage, largest_int_below_pow
 from .powers import real_pow
-from .primes import INT32_MAX, PrimeTable, check_array_bytes
+from .primes import PrimeTable, check_array_bytes
 
 
 @dataclass
@@ -222,28 +222,28 @@ def _exact_sum_counts(A, B) -> np.ndarray:
     return counts
 
 
-def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli) -> bool:
+def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli, lgset: LGSet) -> bool:
     """Check, in exact integer arithmetic, that for every modulus q the
     weight mass on multiples of q equals #{(a, b) : q | a + b}; the
     right side never reads the weights.
 
-    A and B must lie in [1, weights.x] and the moduli must be integers
-    in [1, 2^31 - 1], else ValueError.  Both sides are
-    ``multiple_sums``: of the weights, and of the pair-sum counts
+    The weights must be integers on the set's bound x, A and B must lie
+    in [1, x] with max(A) + max(B) <= x, the set must be LG and the
+    moduli its members, else ValueError.  Both sides are
+    ``lgset.multiple_sums``: of the weights, and of the pair-sum counts
     c[n] = #{(a, b) : a + b = n} from one exact product of decimal
     integers (``_exact_sum_counts``), in integers only.
     """
-    x = weights.x
-    if x > INT32_MAX:
-        raise ValueError(f"x = {x} exceeds 2^31 - 1, the index range of multiple_sums")
+    x = lgset.params.x
+    if weights.x != x:
+        raise ValueError(f"weight bound {weights.x} != set bound {x}")
     Aa, Bb = distinct_ints(A, x, "A"), distinct_ints(B, x, "B")
-    qs = np.asarray(list(moduli))
-    if qs.size and (
-        not np.issubdtype(qs.dtype, np.integer) or qs.min() < 1 or qs.max() > INT32_MAX
-    ):
-        raise ValueError(f"moduli must be integers in [1, {INT32_MAX}]")
+    if Aa.size and Bb.size and int(Aa[-1]) + int(Bb[-1]) > x:
+        raise ValueError(f"sums exceed x = {x}")
+    lhs = lgset.multiple_sums(weights.array, moduli)  # checks the moduli first
     counts = _exact_sum_counts(Aa, Bb)
-    return np.array_equal(multiple_sums(weights.array, qs), multiple_sums(counts, qs))
+    rhs = lgset.multiple_sums(np.pad(counts, (0, x + 1 - counts.size)), moduli)
+    return np.array_equal(lhs, rhs)
 
 
 def theorem3_experiment(
@@ -253,7 +253,6 @@ def theorem3_experiment(
     theta: float,
     gamma: float,
     table: PrimeTable,
-    dickman_table=None,
 ) -> dict:
     """Full smooth-sum experiment: convolution weights, sieve report
     (whose smooth_total is the pair count #{(a, b) : a + b smooth}),
@@ -274,8 +273,7 @@ def theorem3_experiment(
 
     direct = int(rep.smooth_total)
 
-    if dickman_table is None:
-        dickman_table = dickman.build_dickman_table(max_u=1.0 / theta + 1)
+    dickman_table = dickman.build_dickman_table(max_u=1.0 / theta + 1)
     rho_theta = dickman.rho(1.0 / theta, dickman_table)
     sigma = rep.sigma
     fraction = direct / sigma if sigma else 0.0
@@ -303,7 +301,7 @@ def theorem3_experiment(
 
     # one power per member: perfbench/tests pins powers.calls > members
     moduli = [q for q in lgset.members if q <= largest_int_below_pow(x, cutoff)]
-    identity_ok = residue_convolution_identity_ok(ws, A, B, moduli)
+    identity_ok = residue_convolution_identity_ok(ws, A, B, moduli, lgset)
 
     return {
         "params": {

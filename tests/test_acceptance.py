@@ -245,7 +245,6 @@ def test_criterion_9_sumset_experiment(table100k):
     s = construct(LGParams(x, 0.05), table100k)
     c = choose_cutoff(s, 0.2)
     s = with_cutoff(s, c)
-    dt = build_dickman_table(max_u=11.0)
     within = 0
     identity_failures = 0
     devs = []
@@ -253,7 +252,7 @@ def test_criterion_9_sumset_experiment(table100k):
         rng = random.Random(seed)
         A = rng.sample(range(1, x // 2 + 1), 5000)
         B = rng.sample(range(1, x // 2 + 1), 5000)
-        doc = theorem3_experiment(A, B, s, 0.5, 0.2, table100k, dickman_table=dt)
+        doc = theorem3_experiment(A, B, s, 0.5, 0.2, table100k)
         if not doc["residue_identity_ok"]:
             identity_failures += 1
         dev = abs(doc["direct"]["deviation_from_sum1"])

@@ -348,19 +348,19 @@ def test_table_over_byte_limit_exits_2(tmp_path, monkeypatch, capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["verify", "build"])
+@pytest.mark.parametrize("command", ["verify", "build", "coverage", "sieve-check"])
 def test_loaded_set_builds_no_table(tmp_path, monkeypatch, command):
-    # build and verify never read a prime table, so a loaded set gets none
+    # these commands never read a prime table, so a loaded set gets none
     path, copy = tmp_path / "set.json", tmp_path / "copy.json"
     assert run_cli("build", "--x", "100", "--delta", "0.2", "--out", str(path)) == 0
     limits, inner = [], cli.build_prime_table
     monkeypatch.setattr(cli, "build_prime_table", lambda n: limits.append(n) or inner(n))
-    extra = ["--out", str(copy)] if command == "build" else []
+    extra = {"build": ["--out", str(copy)], "sieve-check": ["--size", "20"]}.get(command, [])
     assert run_cli(command, "--set", str(path), *extra) == 0
     assert command != "build" or load_json(copy) == load_json(path)
     assert limits == []
-    assert run_cli("coverage", "--set", str(path)) == 0
-    assert limits == [100]  # coverage reads the table
+    assert run_cli("theorem2", "--set", str(path), "--theta", "0.5", "--gamma", "0.2") == 0
+    assert limits == [100]  # theorem2's partition reads the table
 
 
 def test_loaded_set_over_byte_limit_exits_2_before_allocating(tmp_path, capsys):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgsieve import LGParams, LGSet, coverage, variance_report
+from lgsieve import LGParams, LGSet, construct, coverage, variance_report
 from lgsieve import ResourceLimitError, discrepancy, primes
-from lgsieve.discrepancy import _fft_length, _pair_counts, distinct_ints, multiple_sums
+from lgsieve.discrepancy import _fft_length, _pair_counts, distinct_ints
+from lg_samples import random_lg_set, upper_half_set
 
 
 @dataclass(frozen=True)
@@ -130,24 +131,19 @@ def test_modulus_csv(set100, table1k):
     assert total_sum_sq == rep.sum_sq_total
 
 
-def all_moduli_set(x):
-    # every q in [2, x] as a member: far from LG, so eps' is passed in
-    return LGSet(LGParams(x, 0.5), range(2, x + 1))
-
-
 def moduli_below(lgset, cutoff):
     return lgset.members[: lgset.count_below(cutoff)]
 
 
 @pytest.mark.parametrize("x", [4, 5, 1000, 2003, 3000])
-def test_variance_matches_histogram_oracle_every_modulus(x):
+def test_variance_matches_histogram_oracle_every_modulus(table10k, x):
     # 2003 is prime: neither x + 1 nor 2x is 5-smooth
-    lg = all_moduli_set(x)
     rng = random.Random(x)
     cases = [[], [x], [1], range(1, x + 1), rng.sample(range(1, x + 1), x // 3 + 1)]
-    for C in cases:
-        rep = variance_report(C, lg, 1.0, 0.1, eps_prime=0.5)
-        assert rep.per_modulus == variance_oracle(C, moduli_below(lg, 1.0))
+    for lg in (upper_half_set(x), construct(LGParams(x, 0.05), table10k)):
+        for C in cases:
+            rep = variance_report(C, lg, 1.0, 0.1, eps_prime=0.5)
+            assert rep.per_modulus == variance_oracle(C, moduli_below(lg, 1.0))
 
 
 def test_variance_matches_histogram_oracle_lg_set(set10k):
@@ -166,13 +162,19 @@ def test_variance_matches_histogram_oracle_lg_set(set10k):
     seed=st.integers(min_value=0, max_value=2**32),
     density=st.floats(min_value=0.0, max_value=1.0),
 )
-def test_variance_matches_histogram_oracle_property(x, seed, density):
+def test_variance_matches_histogram_oracle_property(table100k, x, seed, density):
     rng = random.Random(seed)
-    moduli = rng.sample(range(2, x + 1), min(x - 1, 40))
+    lg = random_lg_set(x, rng, table100k, size=40)
     C = rng.sample(range(1, x + 1), int(density * x))
-    lg = LGSet(LGParams(x, 0.5), moduli)
     rep = variance_report(C, lg, 1.0, 0.1, eps_prime=0.5)
     assert rep.per_modulus == variance_oracle(C, moduli_below(lg, 1.0))
+
+
+def test_variance_report_rejects_a_set_that_is_not_lg():
+    # lcm(11, 55) = 55 <= 100: m = 55 has two member divisors
+    s = LGSet(LGParams(100, 0.2), [11, 55])
+    with pytest.raises(ValueError, match="not LG"):
+        variance_report(range(1, 51), s, 1.0, 0.4, eps_prime=0.5)
 
 
 def test_fft_length_is_least_5_smooth():
@@ -254,53 +256,84 @@ def multiple_sums_oracle(w, moduli):
 
 
 @st.composite
-def weights_and_moduli(draw):
-    x = draw(st.integers(min_value=1, max_value=300))
-    # every modulus's own sum fits int64; a total over all of them may not
-    bound = (2**63 - 1) // x
+def weights_and_moduli(draw, table):
+    x = draw(st.integers(min_value=4, max_value=300))
+    lg = random_lg_set(x, random.Random(draw(st.integers(0, 2**32))), table)
+    # the members' multiples are disjoint, so no sum of |w| exceeds 2^62
+    bound = 2**62 // (x + 1)
     w = np.array(
         draw(st.lists(st.integers(-bound, bound), min_size=x + 1, max_size=x + 1)),
         dtype=np.int64,
     )
-    # unsorted, with repeats, q = 1, q = x and q > x
-    q = st.one_of(st.integers(1, 2 * x + 3), st.sampled_from([1, x, x + 1, 2 * x + 3]))
-    return w, draw(st.lists(q, max_size=60))
+    # members only, unsorted and with repeats
+    moduli = draw(st.lists(st.sampled_from(lg.members), max_size=60)) if len(lg) else []
+    return lg, w, moduli
 
 
 @settings(max_examples=200, deadline=None)
-@given(weights_and_moduli())
-def test_multiple_sums_matches_strided_walk(case):
-    w, moduli = case
-    got = multiple_sums(w, moduli)
+@given(data=st.data())
+def test_multiple_sums_matches_strided_walk(table1k, data):
+    lg, w, moduli = data.draw(weights_and_moduli(table1k))
+    got = lg.multiple_sums(w, moduli)
     assert got.dtype == np.int64
     assert got.tolist() == multiple_sums_oracle(w, moduli)
 
 
 def test_multiple_sums_no_running_total_across_moduli():
-    # each modulus's sum is 3 * 2^61 < 2^63, but two of them overflow int64
+    # 4 and 5 each sum to 3 * 2^61 < 2^63, but their two sums together
+    # overflow int64, as does the mass on the m no member divides
     x = 12
+    lg = LGSet(LGParams(x, 0.2), [4, 5, 7, 9, 11])
     w = np.zeros(x + 1, dtype=np.int64)
     w[[4, 8, 12]] = 2**61
-    moduli = [4, 4, 2, 1, 4, 13]
+    w[[5, 10]] = 3 * 2**60
+    w[[1, 2, 3, 6]] = 2**61
+    w[[7, 9, 11]] = [7, 9, 11]
+    moduli = [4, 5, 4, 11, 7, 9]
     want = [sum(int(v) for v in w[q::q]) for q in moduli]
-    assert want == [3 * 2**61] * 5 + [0]
-    assert multiple_sums(w, moduli).tolist() == want == multiple_sums_oracle(w, moduli)
+    assert want == [3 * 2**61] * 3 + [11, 7, 9]
+    assert lg.multiple_sums(w, moduli).tolist() == want == multiple_sums_oracle(w, moduli)
 
 
-def test_multiple_sums_edges():
-    w = np.arange(11, dtype=np.int64)
-    assert multiple_sums(w, []).tolist() == []
-    assert multiple_sums(w, [1, 10, 11, 10**9]).tolist() == [55, 10, 0, 0]
-    assert multiple_sums(np.zeros(1, dtype=np.int64), [1, 2]).tolist() == [0, 0]
-    # the dtype numpy's sum gives: int32 widens, float stays
-    assert multiple_sums(w.astype(np.int32), [3]).dtype == np.int64
-    assert multiple_sums(w / 2, [5]).tolist() == [7.5]
-    for moduli in ([0], [3, -1]):
-        with pytest.raises(ValueError, match="moduli"):
-            multiple_sums(w, moduli)
-    for bad in (np.zeros(0), np.zeros((3, 4))):
-        with pytest.raises(ValueError, match="weights"):
-            multiple_sums(bad, [1])
+def test_multiple_sums_edges(set100):
+    w = np.arange(101, dtype=np.int64)
+    assert set100.multiple_sums(w, []).tolist() == []
+    assert set100.multiple_sums(w, np.array([], dtype=np.int32)).tolist() == []
+    assert set100.multiple_sums(w, [97, 11, 35]).tolist() == [97, 495, 105]
+    # int32, unsigned and bool weights and moduli arrays of any integer dtype
+    for dtype in (np.int32, np.uint32, np.uint8):
+        got = set100.multiple_sums(w.astype(dtype), np.array([35, 11], dtype=dtype))
+        assert got.dtype == np.int64 and got.tolist() == [105, 495]
+    assert set100.multiple_sums(w % 2 == 0, [11]).tolist() == [4]
+    empty = LGSet(LGParams(100, 0.2), [])
+    assert empty.multiple_sums(w, []).tolist() == []
+
+
+@pytest.mark.parametrize(
+    "weights, moduli, message",
+    [
+        (np.arange(101), [12], "moduli must be integer members"),  # not a member
+        (np.arange(101), [11, 0], "moduli must be integer members"),
+        (np.arange(101), [-3], "moduli must be integer members"),
+        (np.arange(101), [101], "moduli must be integer members"),  # above x
+        (np.arange(101), [11.0], "moduli must be integer members"),
+        (np.arange(101), [True], "moduli must be integer members"),
+        (np.arange(101) / 2, [11], "weights must be an integer array"),
+        (np.arange(100), [11], "weights must be an integer array"),
+        (np.arange(102), [11], "weights must be an integer array"),
+        (np.zeros((101, 2), dtype=np.int64), [11], "weights must be an integer array"),
+        (np.arange(101, dtype=np.uint64), [11], "weights must be an integer array"),
+    ],
+)
+def test_multiple_sums_rejects_bad_input(set100, weights, moduli, message):
+    with pytest.raises(ValueError, match=message):
+        set100.multiple_sums(weights, moduli)
+
+
+def test_multiple_sums_rejects_a_set_that_is_not_lg():
+    s = LGSet(LGParams(100, 0.2), [11, 55])
+    with pytest.raises(ValueError, match="not LG"):
+        s.multiple_sums(np.arange(101), [11])
 
 
 def distinct_ints_oracle(values, hi, name="elements"):

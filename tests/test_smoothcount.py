@@ -2,7 +2,6 @@ import decimal
 import math
 import random
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from lgsieve import (
     LGParams,
+    LGSet,
     WeightedSet,
     construct,
     coverage,
@@ -29,6 +29,7 @@ from lgsieve import ResourceLimitError, primes, smoothcount
 from lgsieve.cli import _make_weights
 from lgsieve.discrepancy import distinct_ints
 from lgsieve.smoothcount import residue_convolution_identity_ok
+from lg_samples import random_lg_set, upper_half_set
 
 
 def test_partition_x100(set100, table1k):
@@ -255,44 +256,46 @@ def test_sumset_domain_restriction():
     A=st.sets(st.integers(min_value=1, max_value=50), min_size=1, max_size=25),
     B=st.sets(st.integers(min_value=1, max_value=50), min_size=1, max_size=25),
 )
-def test_residue_convolution_identity(A, B):
+def test_residue_convolution_identity(set100, A, B):
     x = 100
     ws = sumset_weights(A, B, x)
     Aa, Bb = sorted(A), sorted(B)
-    for q in range(1, 51):
-        lhs = sum(int(ws.array[n]) for n in range(q, x + 1, q))
-        rhs = 0
-        for a in range(q):
-            ca = sum(1 for v in Aa if v % q == a)
-            cb = sum(1 for v in Bb if v % q == (q - a) % q)
-            rhs += ca * cb
-        assert lhs == rhs
-    assert residue_convolution_identity_ok(ws, Aa, Bb, range(1, 51))
+    for lg in (set100, upper_half_set(x)):
+        for q in lg.members:
+            lhs = sum(int(ws.array[n]) for n in range(q, x + 1, q))
+            rhs = 0
+            for a in range(q):
+                ca = sum(1 for v in Aa if v % q == a)
+                cb = sum(1 for v in Bb if v % q == (q - a) % q)
+                rhs += ca * cb
+            assert lhs == rhs
+        assert residue_convolution_identity_ok(ws, Aa, Bb, lg.members, lg)
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_residue_convolution_identity_detects_moved_weight(seed):
+def test_residue_convolution_identity_detects_moved_weight(table1k, seed):
     """The check is not vacuous: moving one unit of weight off a
-    multiple n of a modulus q to n + 1 makes it fail."""
+    multiple n of a member modulus q to n + 1 makes it fail."""
     rng = random.Random(seed)
     x = 1000
+    lg = construct(LGParams(x, 0.2), table1k)
     A, B = rng.sample(range(1, 501), 40), rng.sample(range(1, 501), 40)
     ws = sumset_weights(A, B, x)
-    moduli = range(1, 101)
-    assert residue_convolution_identity_ok(ws, A, B, moduli)
-    q = rng.randrange(2, 101)
+    moduli = lg.members
+    assert residue_convolution_identity_ok(ws, A, B, moduli, lg)
+    q = rng.choice([q for q in moduli if np.any(ws.array[q:x:q])])
     n = next(int(m) for m in np.flatnonzero(ws.array) if m % q == 0 and m < x)
     arr = ws.array.copy()
     arr[n] -= 1
     arr[n + 1] += 1
     moved = WeightedSet(x, arr)
     assert moved.sigma == ws.sigma
-    assert not residue_convolution_identity_ok(moved, A, B, moduli)
+    assert not residue_convolution_identity_ok(moved, A, B, moduli, lg)
 
 
 def residue_identity_oracle(ws, A, B, moduli):
     """The per-modulus histogram dot hist(A mod q) . hist(-B mod q) in
-    int64, which the blocked int32 route replaced."""
+    int64, which the divisor-map sums replaced."""
     Aa = np.array(sorted(set(A)), dtype=np.int64)
     Bb = np.array(sorted(set(B)), dtype=np.int64)
     arr = ws.array
@@ -312,84 +315,74 @@ def _moved_unit(ws, n):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    x=st.integers(min_value=2, max_value=2 * 10**4),
+    x=st.integers(min_value=4, max_value=2 * 10**4),
     seed=st.integers(min_value=0, max_value=2**32),
     da=st.floats(min_value=0.0, max_value=1.0),
     db=st.floats(min_value=0.0, max_value=1.0),
     nq=st.integers(min_value=0, max_value=200),
     move=st.booleans(),
-    top=st.booleans(),
 )
-def test_residue_identity_matches_oracle_property(x, seed, da, db, nq, move, top):
+def test_residue_identity_matches_oracle_property(table100k, x, seed, da, db, nq, move):
     rng = random.Random(seed)
     half = x // 2
     cap = min(half, 2000)
     A = rng.sample(range(1, half + 1), int(da * cap))
     B = rng.sample(range(1, half + 1), int(db * cap))
-    # unsorted, with repeats, q = 1, q > x, and q dividing some b
-    pool = [1, x, x + 1, 2 * x + 3, *B[:5], *(b // 2 for b in B[:5] if b > 1)]
-    moduli = [rng.choice(pool) if rng.random() < 0.3 else rng.randint(1, 2 * x)
-              for _ in range(nq)]
+    lg = random_lg_set(x, rng, table100k)
+    # member moduli, unsorted and with repeats
+    moduli = [rng.choice(lg.members) for _ in range(nq)] if len(lg) else []
     ws = sumset_weights(A, B, x)
     support = np.flatnonzero(ws.array)
     below = support[support < x]
     if move and below.size:
         ws = _moved_unit(ws, int(rng.choice(below.tolist())))
-    if top:  # elements may reach x, above the range the weights were built from
-        A, B = A + [x], B + [x]
     want = [residue_identity_oracle(ws, A, B, [q]) for q in moduli]
-    assert [residue_convolution_identity_ok(ws, A, B, [q]) for q in moduli] == want
-    assert residue_convolution_identity_ok(ws, A, B, moduli) == all(want)
-
-
-@pytest.mark.parametrize("where", [63, 64, "last", "largest"])
-def test_residue_identity_detects_moved_weight_at_block_edges(where):
-    """A unit moved off a multiple n of q, where q is the only modulus
-    dividing n or n + 1, flips the verdict with q at either side of a
-    block boundary, at the last index and as the largest modulus."""
-    rng = random.Random(5)
-    x = 4000
-    A, B = rng.sample(range(1, 2001), 300), rng.sample(range(1, 2001), 300)
-    ws = sumset_weights(A, B, x)
-    q = 3001 if where == "largest" else 101
-    n = next(m for m in range(q, x, q) if ws.array[m] > 0)
-    top = q if where == "largest" else 2 * x + 3
-    others = [m for m in range(1, top) if m == 1 or (n % m and (n + 1) % m)]
-    others = rng.choices(others, k=150)  # with repeats, unsorted
-    index = {"last": len(others), "largest": 100}.get(where, where)
-    moduli = others[:index] + [q] + others[index:]
-    assert moduli[index] == q and (where != "last" or index == len(moduli) - 1)
-    assert where != "largest" or q == max(moduli)
-    assert residue_convolution_identity_ok(ws, A, B, moduli)
-    moved = _moved_unit(ws, n)
-    assert residue_identity_oracle(moved, A, B, others)  # only q sees the move
-    assert not residue_identity_oracle(moved, A, B, [q])
-    assert not residue_convolution_identity_ok(moved, A, B, moduli)
+    assert [residue_convolution_identity_ok(ws, A, B, [q], lg) for q in moduli] == want
+    assert residue_convolution_identity_ok(ws, A, B, moduli, lg) == all(want)
 
 
 @pytest.mark.parametrize(
     "A, B, moduli, message",
     [
-        ([1], [1], [0], "moduli must be integers"),
-        ([1], [1], [-3], "moduli must be integers"),
-        ([1], [1], [2**31], "moduli must be integers"),
-        ([1], [1], [2.0], "moduli must be integers"),
-        ([0], [1], [2], "A must lie in"),
-        ([101], [1], [2], "A must lie in"),
-        ([1], [101], [2], "B must lie in"),
+        ([1], [1], [0], "moduli must be integer members"),
+        ([1], [1], [-3], "moduli must be integer members"),
+        ([1], [1], [2**31], "moduli must be integer members"),
+        ([1], [1], [2.0], "moduli must be integer members"),
+        ([0], [1], [11], "A must lie in"),
+        ([101], [1], [11], "A must lie in"),
+        ([1], [101], [11], "B must lie in"),
+        ([1], [1], [12], "moduli must be integer members"),  # not a member
+        ([60], [41], [11], "sums exceed x = 100"),
+        ([100], [1], [11], "sums exceed x = 100"),
     ],
 )
-def test_residue_identity_rejects_bad_input(A, B, moduli, message):
+def test_residue_identity_rejects_bad_input(set100, A, B, moduli, message):
     ws = sumset_weights([1, 2], [3], 100)
     with pytest.raises(ValueError, match=message):
-        residue_convolution_identity_ok(ws, A, B, moduli)
+        residue_convolution_identity_ok(ws, A, B, moduli, set100)
 
 
-def test_residue_identity_rejects_x_beyond_int32():
-    # only x and the array are read; a dense array of 2^31 entries is not built
-    huge = SimpleNamespace(x=2**31, array=np.zeros(4, dtype=np.int64))
-    with pytest.raises(ValueError, match="2\\^31 - 1"):
-        residue_convolution_identity_ok(huge, [1], [1], [2])
+def test_residue_identity_accepts_sums_up_to_x(set100):
+    # an element may pass x/2 as long as no sum exceeds x
+    w = np.zeros(101, dtype=np.int64)
+    w[99] = 1  # 1 + 98 = 9 * 11
+    assert residue_convolution_identity_ok(WeightedSet(100, w), [1], [98], [11, 13], set100)
+    w[99], w[98] = 0, 1
+    assert not residue_convolution_identity_ok(WeightedSet(100, w), [1], [98], [11, 13], set100)
+
+
+def test_residue_identity_rejects_bound_mismatch(set100, set10k):
+    ws = sumset_weights([1, 2], [3], 100)
+    with pytest.raises(ValueError, match="weight bound 100 != set bound 10000"):
+        residue_convolution_identity_ok(ws, [1, 2], [3], [set10k.members[0]], set10k)
+    assert residue_convolution_identity_ok(ws, [1, 2], [3], [11], set100)
+
+
+def test_residue_identity_rejects_a_set_that_is_not_lg():
+    s = LGSet(LGParams(100, 0.2), [11, 55])
+    ws = sumset_weights([1, 2], [3], 100)
+    with pytest.raises(ValueError, match="not LG"):
+        residue_convolution_identity_ok(ws, [1, 2], [3], [11], s)
 
 
 def sumset_oracle(A, B, x):
@@ -461,12 +454,11 @@ def test_exact_sum_counts_leave_the_callers_decimal_context_alone():
 
 
 def test_exact_sum_counts_over_byte_limit_raise_before_allocating():
-    # x = 2^27 fits int32, but sums reach 2^28: 2^28 + 1 int64 counts are 2 GiB
-    huge = SimpleNamespace(x=2**27, array=np.zeros(4, dtype=np.int64))
+    # sums reach 2^28: 2^28 + 1 int64 counts are 2 GiB
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="the exact pair-sum count array needs"):
-            residue_convolution_identity_ok(huge, [2**27], [2**27], [2])
+            smoothcount._exact_sum_counts(np.array([2**27]), np.array([2**27]))
         with pytest.raises(ResourceLimitError):
             smoothcount._exact_sum_counts(np.array([2**26]), np.array([2**26]))  # sum 2^27
         _, peak = tracemalloc.get_traced_memory()

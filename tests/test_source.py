@@ -177,11 +177,31 @@ def _stepped_slices(module, func):
     "module, func",
     [("discrepancy.py", "variance_report"), ("smoothcount.py", "residue_convolution_identity_ok")],
 )
-def test_multiple_sums_come_from_one_gather(module, func):
-    # each modulus's sum over its multiples comes from multiple_sums; the
-    # strided walk (D[q::q], arr[q::q]) stays only in the test oracles
-    assert "multiple_sums" in _names_reached(module, func)
+def test_multiple_sums_come_from_the_divisor_map(module, func):
+    # each modulus's sum over its multiples comes from LGSet.multiple_sums:
+    # no np.repeat gather, and the strided walk (D[q::q], arr[q::q]) only
+    # in the test oracles
+    names = _names_reached(module, func)
+    assert "multiple_sums" in names
+    assert "repeat" not in names
     assert _stepped_slices(module, func) == []
+
+
+def test_lgset_owns_the_sums_over_member_multiples():
+    # one np.add.at over the divisor map, and no other definition of it
+    tree = ast.parse((SRC / "lgset.py").read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "LGSet"]
+    (method,) = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "multiple_sums"]
+    names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(method)}
+    assert {"divisor_map", "add", "at"} <= names
+    assert not names & {"repeat", "reduceat"}
+    defined = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "multiple_sums"
+    ]
+    assert defined == [("lgset.py", method.lineno)]
 
 
 def _unused_parameters(tree):
