@@ -265,21 +265,18 @@ def _cmd_sieve_check(args) -> int:
 
 def _make_weights(kind, x, rng) -> smoothcount.WeightedSet:
     check_array_bytes(x + 1, 8, "the weight array")  # float64, for every kind
+    arr = np.zeros(x + 1)
     if kind == "uniform":
-        arr = np.ones(x + 1)
-        arr[0] = 0.0
-        return smoothcount.WeightedSet(x, arr)
-    if kind == "random-dense":
-        arr = np.array([0.0] + [rng.random() for _ in range(x)])
-        return smoothcount.WeightedSet(x, arr)
-    if kind == "random-sparse":
+        arr[1:] = 1.0
+    elif kind == "random-dense":
+        arr[1:] = np.fromiter((rng.random() for _ in range(x)), float, count=x)
+    elif kind == "random-sparse":
         size = max(1, x // 5)
         support = rng.sample(range(1, x + 1), size)
-        return smoothcount.WeightedSet(x, {n: 1.0 + rng.random() for n in support})
-    # indicator of a random subset
-    size = max(1, x // 3)
-    support = rng.sample(range(1, x + 1), size)
-    return smoothcount.WeightedSet(x, {n: 1.0 for n in support})
+        arr[support] = np.fromiter((1.0 + rng.random() for _ in range(size)), float, count=size)
+    else:  # indicator of a random subset
+        arr[rng.sample(range(1, x + 1), max(1, x // 3))] = 1.0
+    return smoothcount.WeightedSet(x, arr)
 
 
 def _cmd_theorem2(args) -> int:

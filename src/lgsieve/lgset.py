@@ -31,10 +31,6 @@ from .primes import INT32_MAX, PrimeTable, check_array_bytes
 
 COVERAGE_CSV_HEADER = "x,delta,cutoff,covered,exceptional,harmonic_sum,epsilon_prime"
 
-# Members q <= x**SLICE_MAX_EXPONENT mark their multiples with one slice
-# each; the larger ones, most members of a constructed set, are marked one
-# multiple index k at a time, so the k loop runs fewer than x**0.2 times.
-SLICE_MAX_EXPONENT = 0.8
 JSON_BLOCK = 8192  # members per str.join in save_json
 
 
@@ -59,19 +55,20 @@ class LGParams:
             raise ValueError(f"epsilon_target out of (0,1): {self.epsilon_target}")
 
 
-def _slice_count(members: list, x: int) -> int:
-    """Number of members q <= x**SLICE_MAX_EXPONENT, the ones walked one
-    slice q::q each; the rest go to _by_multiple_index."""
-    return bisect_right(members, int(x**SLICE_MAX_EXPONENT))
-
-
-def _by_multiple_index(big: np.ndarray, x: int):
-    """Yield (k, big[:n]) for k = 1, 2, ...: the members of the ascending
-    int32 array ``big`` whose k-th multiple is at most x."""
-    # Python ints: an int32 big[0] * k overflows near x = 2**31 - 1
-    kmax = x // int(big[0]) if big.size else 0
-    for k in range(1, kmax + 1):
-        yield k, big[: int(np.searchsorted(big, x // k, side="right"))]
+def _multiple_blocks(qs: np.ndarray, x: int):
+    """Yield (g, block) for each run g of the ascending int32 members qs
+    that share k = x // q, the members in (x/(k+1), x/k]: block is the
+    (k, len(g)) array of [1..k] times g, every multiple of every member
+    in g.  It holds at most x/(k+1) + k entries, and k * q <= x keeps
+    them in int32."""
+    if not qs.size:
+        return
+    ks = x // qs
+    column = np.arange(1, int(ks[0]) + 1, dtype=np.int32)[:, None]
+    cuts = np.flatnonzero(ks[1:] != ks[:-1]) + 1
+    for i, j in zip([0, *cuts.tolist()], [*cuts.tolist(), qs.size]):
+        g = qs[i:j]
+        yield g, column[: int(ks[i])] * g
 
 
 class LGSet:
@@ -94,17 +91,16 @@ class LGSet:
     def multiples_disjoint(self) -> bool:
         """True iff no m <= x has two member divisors (every pairwise lcm
         exceeds x), that is, iff the m the members mark number exactly
-        sum floor(x/q).  Builds the divisor map on first use."""
+        sum floor(x/q).  Builds the divisor map on first use, one scatter
+        per _multiple_blocks run; on a set that is not LG, a marked m
+        holds one of its member divisors."""
         if self._divisors is None:
             x, members = self.params.x, self.members
             check_array_bytes(x + 1, 4, "the divisor map")
             div = np.zeros(x + 1, dtype=np.int32)
-            i = _slice_count(members, x)
-            for q in members[:i]:
-                div[q::q] = q
             qs = np.asarray(members, dtype=np.int32)  # members <= x, which LGParams caps
-            for k, big in _by_multiple_index(qs[i:], x):
-                div[big * k] = big  # one k never repeats an index
+            for g, block in _multiple_blocks(qs, x):
+                div[block] = g
             div.flags.writeable = False  # shared by every reader and with_cutoff copy
             multiples = int((x // qs).sum(dtype=np.int64))
             self._divisors = (div, multiples == int(np.count_nonzero(div)))
@@ -251,8 +247,9 @@ def verify_pairwise_lcm(lgset: LGSet) -> PairwiseLcmReport:
     Equivalent multiple-count formulation: a violating pair divides a
     common m <= x (namely its lcm), so it suffices to find integers
     m <= x with two or more member divisors.  The divisor map decides
-    that, and at such an m holds the member marked there last, so the
-    members q with div[m] != q, and div[m], are all its divisors.  Each
+    that, and at such an m holds one of m's member divisors, so the
+    members q with div[m] != q, read over the same _multiple_blocks
+    runs that built the map, and div[m] are all its divisors.  Each
     pair is listed in the group of m = lcm(a, b): the groups come in
     ascending m, and no common multiple of a and b is smaller than their lcm.
     """
@@ -262,16 +259,12 @@ def verify_pairwise_lcm(lgset: LGSet) -> PairwiseLcmReport:
     if lgset.multiples_disjoint():
         return PairwiseLcmReport(pair_count, [])
     div, x = lgset._divisors[0], lgset.params.x
-    i = _slice_count(members, x)
-    small = np.asarray(members[:i], dtype=np.int64)
-    ks = [np.flatnonzero(div[q::q] != q) + 1 for q in members[:i]]  # m = k * q
-    qs = [np.repeat(small, [len(k) for k in ks])]
-    ms = [np.concatenate([small[:0], *ks]) * qs[0]]  # small[:0]: i may be 0
-    for k, big in _by_multiple_index(np.asarray(members[i:], dtype=np.int32), x):
-        big = big[div[big * k] != big]
-        ms.append(big * k)
-        qs.append(big)
-    ms = np.concatenate(ms)
+    ms, qs = [], []
+    for g, block in _multiple_blocks(np.asarray(members, dtype=np.int32), x):
+        hit = div[block] != g
+        ms.append(block[hit])
+        qs.append(np.broadcast_to(g, block.shape)[hit])
+    ms = np.concatenate(ms).astype(np.int64)  # not LG: two members, so one run at least
     ms, qs = np.concatenate([ms, ms]), np.concatenate([*qs, div[ms]])
     # each (m, q) once, ascending in m, then q; the key stays below (x + 1)**2 < 2**62
     key = np.sort(ms * (x + 1) + qs)

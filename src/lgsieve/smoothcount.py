@@ -60,7 +60,7 @@ class WeightedSet:
             if arr[0] != 0:
                 raise ValueError("weight at index 0 must be zero")
         # integer and bool weights are finite: no float copy to check them
-        finite = arr.dtype.kind in "biu" or np.all(np.isfinite(arr.astype(float)))
+        finite = arr.dtype.kind in "biu" or np.all(np.isfinite(arr.astype(float, copy=False)))
         if np.any(arr < 0) or not finite:
             raise ValueError("weights must be finite and nonnegative")
         self.array = arr

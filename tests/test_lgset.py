@@ -28,8 +28,9 @@ from lgsieve import (
     verify_pairwise_lcm,
     with_cutoff,
 )
-from lgsieve.lgset import JSON_BLOCK, SLICE_MAX_EXPONENT, to_json_dict
+from lgsieve.lgset import JSON_BLOCK, _multiple_blocks, to_json_dict
 from lgsieve.powers import floor_pow, largest_int_below_pow
+from lgsieve.primes import INT32_MAX
 
 EXPECTED_100 = sorted(
     [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 35]
@@ -278,19 +279,26 @@ def test_divisor_map_verdict_matches_slice_loop_on_random_sets(data):
     assert_map_matches_slice_loop(LGSet(LGParams(x, 0.2), members))
 
 
-_SPLIT_1000 = int(1000**SLICE_MAX_EXPONENT)  # 251
-
-
+# at x = 1000, a run is the members sharing k = 1000 // q
 @pytest.mark.parametrize(
     "members, lg",
     [
         ([], True),
-        ([37, 41, 43, 97, 101, 241], True),  # every member at or below the split
-        ([_SPLIT_1000 + 1, 263, 509, 997, 1000], True),  # every member above it
-        ([37, _SPLIT_1000, _SPLIT_1000 + 1, 1000], True),  # one at the split, one equal to x
-        ([300, 600, 997], False),  # overlap among the members above the split
-        ([37, 74, 500], False),  # overlap among the members below it
-        ([37, 999], False),  # 37 | 999 across the split
+        ([37, 41, 43, 97, 101, 241], True),  # runs of one member each
+        ([252, 263, 509, 997, 1000], True),  # runs k = 3 and k = 1
+        ([37, 251, 252, 1000], True),  # one run of two, one member equal to x
+        ([300, 600, 997], False),  # 300 | 600, across runs k = 3 and k = 1
+        ([37, 74, 500], False),  # 37 | 74
+        ([37, 999], False),  # 37 | 999
+        ([333, 334], True),  # k = 3 and k = 2 on either side of 1000/3
+        ([333, 666], False),  # 333 | 666 across that change
+        ([499, 500, 501], True),  # a run of two, then a run of one
+        ([2], True),  # one block of x/2 entries
+        ([2, 999], True),
+        ([2, 3], False),
+        ([1000], True),  # a member equal to x
+        ([500, 1000], False),
+        ([501, 600, 777, 1000], True),  # all above x/2: one run with k = 1
     ],
 )
 def test_divisor_map_split_edges(members, lg):
@@ -327,17 +335,59 @@ def test_pairwise_lcm_listing_matches_per_m_oracle(data):
 @pytest.mark.parametrize(
     "members",
     [
-        [300, 600, 997],  # overlap among the members above x**SLICE_MAX_EXPONENT
+        [300, 600, 997],  # 300 | 600, across runs k = 3 and k = 1
         [252, 504, 756, 1000],  # 252 divides 504 and 756; lcm(504, 756) = 1512 > x
-        [37, 74, 500],  # overlap among the members below it
-        [37, 999],  # across the split
+        [37, 74, 500],  # 37 | 74
+        [37, 999],  # 37 | 999
         [37, 74, 300, 600, 900, 999],
+        [333, 666],  # k = 3 and k = 1, across the change at 1000/3
+        [2, 3],  # 2 marks x/2 multiples in one block
+        [2, 999, 1000],  # 2 | 1000, the member equal to x
+        [500, 1000],
+        [2, 3, 4, 6, 12, 499, 500, 998],  # many divisors at each m = 12k
     ],
 )
 def test_pairwise_lcm_listing_split_edges(members):
     s = LGSet(LGParams(1000, 0.2), members)
     assert not s.multiples_disjoint()
     assert verify_pairwise_lcm(s).violations == listing_violations(s.members, 1000)
+
+
+def test_pairwise_lcm_listing_keys_past_int32():
+    # the blocks are int32; the (m, q) sort key m * (x + 1) + q is not
+    x = 10**5
+    s = LGSet(LGParams(x, 0.2), [3, 50000, 99999])
+    assert verify_pairwise_lcm(s).violations == [(3, 99999, 99999)] == listing_violations(s.members, x)
+
+
+@st.composite
+def sets_and_bounds(draw):
+    x = draw(st.integers(min_value=4, max_value=3000))
+    return x, sorted(draw(st.lists(st.integers(min_value=2, max_value=x), unique=True, max_size=60)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sets_and_bounds())
+@example((1000, []))
+@example((1000, [2]))
+@example((1000, [501, 600, 777, 1000]))
+@example((INT32_MAX, [715827882, 715827883, INT32_MAX]))  # k = 3, then k = 2 and 1
+def test_multiple_blocks_yield_each_multiple_once(case):
+    x, members = case
+    qs = np.asarray(members, dtype=np.int32)
+    runs, pairs = [], []
+    for g, block in _multiple_blocks(qs, x):
+        k = x // int(g[0])
+        assert g.size and (x // g == k).all()
+        assert block.dtype == np.int32 and block.shape == (k, g.size)
+        assert block.size * (k + 1) <= x + k * (k + 1)  # at most x/(k+1) + k entries
+        runs.append(g.tolist())
+        pairs += zip(block.ravel().tolist(), np.broadcast_to(g, block.shape).ravel().tolist())
+    # the runs split the members in order, and each is maximal
+    assert sum(runs, []) == members
+    assert all(x // a[-1] != x // b[0] for a, b in zip(runs, runs[1:]))
+    # every (m, q) with q | m <= x, each exactly once
+    assert sorted(pairs) == sorted((m, q) for q in members for m in range(q, x + 1, q))
 
 
 def test_pairwise_lcm_clean(set100):

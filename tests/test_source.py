@@ -94,11 +94,17 @@ def test_reads_no_environment_variables():
     assert found == []
 
 
+def _functions(module):
+    """The module's functions and its classes' methods, by name."""
+    tree = ast.parse((SRC / module).read_text())
+    nodes = [n for top in tree.body for n in (top.body if isinstance(top, ast.ClassDef) else [top])]
+    return {n.name: n for n in nodes if isinstance(n, ast.FunctionDef)}
+
+
 def _names_reached(module, func):
     """Every name and attribute referenced by ``func`` and by the
     functions of the same module that it calls, transitively."""
-    tree = ast.parse((SRC / module).read_text())
-    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    defs = _functions(module)
     seen, todo, names = set(), [func], set()
     while todo:
         name = todo.pop()
@@ -163,11 +169,10 @@ def _stepped_slices(module, func):
     """(function, line) of every slice with a step in ``func`` and in
     the functions of the same module that it calls."""
     names = _names_reached(module, func)
-    tree = ast.parse((SRC / module).read_text())
     return [
-        (node.name, sub.lineno)
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and (node.name == func or node.name in names)
+        (name, sub.lineno)
+        for name, node in _functions(module).items()
+        if name == func or name in names
         for sub in ast.walk(node)
         if isinstance(sub, ast.Slice) and sub.step is not None
     ]
@@ -280,9 +285,13 @@ def test_construct_walks_levels_without_recursion():
     assert "construct" not in names
 
 
-def test_verify_walks_big_members_by_multiple_index():
-    # verify_pairwise_lcm reads the divisor map with the split that
-    # multiples_disjoint marks it with: one slice per small member, one
-    # gather per multiple index k for the rest
-    names = _names_reached("lgset.py", "verify_pairwise_lcm")
-    assert {"_slice_count", "_by_multiple_index"} <= names
+@pytest.mark.parametrize("func", ["multiples_disjoint", "verify_pairwise_lcm"])
+def test_member_multiples_walked_by_one_helper(func):
+    # the divisor map is marked, and a set that is not LG is read, over
+    # the same runs of members sharing x // q: no stepped slice q::q per
+    # member, and the helper makes no second array and no running count
+    assert "_multiple_blocks" in _names_reached("lgset.py", func)
+    assert _stepped_slices("lgset.py", func) == []
+    helper = _functions("lgset.py")["_multiple_blocks"]
+    assert "zeros" not in {n.attr for n in ast.walk(helper) if isinstance(n, ast.Attribute)}
+    assert [n.lineno for n in ast.walk(helper) if isinstance(n, ast.AugAssign)] == []
