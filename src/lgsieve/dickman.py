@@ -36,7 +36,27 @@ def _interp(values, step, u):
     return float(values[lo] * (1.0 - frac) + values[lo + 1] * frac)
 
 
+def _g(values, step, i):
+    """rho(u - 1) / u at the grid points u = i * step (an int array),
+    interpolated as ``_interp`` does, term for term."""
+    u = i * step
+    k = (u - 1.0) / step
+    lo = np.floor(k).astype(np.int64)
+    frac = k - lo
+    return (values[lo] * (1.0 - frac) + values[lo + 1] * frac) / u
+
+
 def build_dickman_table(step: float = DEFAULT_STEP, max_u: float = 10.0) -> DickmanTable:
+    """rho on the grid 0, step, ..., n step with n = ceil(max_u / step).
+
+    Past the kink at u = 1, values[i] = values[i - 1] - (step / 2)
+    (g(i - 1) + g(i)) with g(i) = rho(i step - 1) / (i step), which reads
+    the table about 1 / step points back.  So the table is filled in
+    blocks of fewer than floor(1 / step) - 1 points, each of which reads
+    only finished entries: one vectorized g per block, then one
+    np.subtract.accumulate, which folds from the left in the order of
+    the per-point recurrence and so gives the same floats.
+    """
     if not 0 < step < 1:
         raise ValueError(f"step out of (0,1): {step}")
     if not 1 <= max_u < math.inf:  # nan fails both comparisons
@@ -44,20 +64,24 @@ def build_dickman_table(step: float = DEFAULT_STEP, max_u: float = 10.0) -> Dick
     check_array_bytes(max_u / step + 1, 8, "the rho table")  # inf on overflow, unlike ceil
     n = math.ceil(max_u / step)
     values = np.ones(n + 1)
-    for i in range(1, n + 1):
-        u = i * step
-        if u <= 1.0:
-            continue
-        u_prev = (i - 1) * step
-        if u_prev < 1.0:
-            # first step past the kink at u = 1: integrate from 1, where
-            # rho(t - 1) is still identically 1
-            h = u - 1.0
-            values[i] = 1.0 - (h / 2.0) * (1.0 + _interp(values, step, u - 1.0) / u)
-        else:
-            g_prev = _interp(values, step, u_prev - 1.0) / u_prev
-            g_here = _interp(values, step, u - 1.0) / u
-            values[i] = values[i - 1] - (step / 2.0) * (g_prev + g_here)
+    first = int(1.0 / step)  # then the least i with i * step > 1.0, as the floats round
+    while first * step > 1.0:
+        first -= 1
+    while first * step <= 1.0:
+        first += 1
+    if first <= n and (first - 1) * step < 1.0:
+        # the first step past the kink at u = 1 integrates from 1, where
+        # rho(t - 1) is still identically 1
+        u = first * step
+        values[first] = 1.0 - ((u - 1.0) / 2.0) * (1.0 + _interp(values, step, u - 1.0) / u)
+        first += 1
+    block = max(1, int(1.0 / step) - 2)
+    for lo in range(first, n + 1, block):
+        hi = min(lo + block, n + 1)
+        g = _g(values, step, np.arange(lo - 1, hi))
+        terms = (step / 2.0) * (g[:-1] + g[1:])
+        terms[0] = values[lo - 1] - terms[0]
+        values[lo:hi] = np.subtract.accumulate(terms)
     return DickmanTable(step=step, max_u=float(n * step), values=values)
 
 

@@ -85,15 +85,25 @@ def _fft_length(n: int) -> int:
     return best
 
 
+def _window(S: np.ndarray) -> tuple[int, int]:
+    """(min S, max S - min S) of an ascending array; (0, 0) if it is empty."""
+    return (int(S[0]), int(S[-1] - S[0])) if S.size else (0, 0)
+
+
 def _pair_counts(A: np.ndarray, B: np.ndarray | None, x: int) -> np.ndarray:
-    """Exact pair counts of distinct ints in [1, x], as int64 w[0..x].
+    """Exact pair counts of distinct ascending ints in [1, x], as int64
+    w[0..x].
 
     With B given, w[n] = #{(a, b) : a + b = n}, which needs a + b <= x
     (ValueError otherwise).  With B None, w[d] = #{(a, a') : a - a' = d},
     so w[0] = |A| and w[d] for d >= 1 counts the pairs a > a'.
 
-    The counts are a float64 FFT product rounded to integers, on the
-    least 5-smooth length that holds the result without wrap-around.
+    The counts are a float64 FFT product rounded to integers.  Each set
+    is shifted to start at 0, so the transform spans the sets, not
+    [1, x]: its length is the least 5-smooth m >= 2 span + 1 for
+    differences (span = max A - min A; lags past span are 0) and
+    m >= span A + span B + 1 for sums, written at min A + min B.  Either
+    holds the result without wrap-around.
     For a radix-2 transform of length 2^n Percival (Rapid multiplication
     modulo the sum and difference of highly composite numbers, Math.
     Comp. 72, 2003) bounds the error of a cyclic convolution by
@@ -107,34 +117,41 @@ def _pair_counts(A: np.ndarray, B: np.ndarray | None, x: int) -> np.ndarray:
     else RuntimeError.
     """
     n_a = int(A.size)
+    lo_a, span_a = _window(A)
     if B is None:
-        m = _fft_length(2 * x)
+        m = _fft_length(2 * span_a + 1)
+        keep, offset = min(x, span_a) + 1, 0
         total = n_a + n_a * (n_a - 1) // 2
     else:
         if n_a and B.size and int(A[-1]) + int(B[-1]) > x:
             raise ValueError(f"sums exceed x = {x}")
-        m = _fft_length(x + 1)
+        lo_b, span_b = _window(B)
+        keep = span_a + span_b + 1
+        m, offset = _fft_length(keep), lo_a + lo_b
         total = n_a * int(B.size)
-    check_array_bytes(m, 8, "the FFT buffer")  # the largest; x + 1 <= m int64 counts fit too
+    check_array_bytes(m, 8, "the FFT buffer")
+    check_array_bytes(x + 1, 8, "the pair-count array")
     # each buffer is dropped before the next is made: this bounds the peak RSS
     u = np.zeros(m)
-    u[A] = 1.0
+    u[A - lo_a] = 1.0
     spec = np.fft.rfft(u)
     del u
     if B is None:
         spec *= spec.conj()
     else:
         v = np.zeros(m)
-        v[B] = 1.0
+        v[B - lo_b] = 1.0
         spec *= np.fft.rfft(v)
         del v
-    r = np.fft.irfft(spec, m)[: x + 1]
+    r = np.fft.irfft(spec, m)[:keep]
     del spec
-    w = np.rint(r)
-    r -= w
+    counts = np.rint(r)
+    r -= counts
     residual = float(np.abs(r, out=r).max())
     del r
-    w = w.astype(np.int64)
+    w = np.zeros(x + 1, dtype=np.int64)
+    w[offset : offset + keep] = counts
+    del counts
     if not residual < 0.25:
         raise RuntimeError(f"FFT pair counts not certified: residual {residual!r} >= 1/4")
     pairs = int(w.sum())
@@ -157,8 +174,9 @@ def variance_report(
     Each modulus q takes sum_a C(a, q)^2 = |C| + 2 (D[q] + D[2q] + ...)
     from one certified difference count D of C (``_pair_counts``), and
     ``LGSet.multiple_sums`` reads every modulus's D[q] + D[2q] + ... in
-    one pass over the divisor map.  So the cost is one FFT and one
-    np.add.at, not one residue histogram or strided walk per modulus.
+    one pass over the divisor map.  So the cost is one FFT, whose length
+    is set by the span max C - min C rather than x, and one np.add.at,
+    not one residue histogram or strided walk per modulus.
     The moduli are the members below x^cutoff, so the set must be LG
     (ValueError otherwise).
 
@@ -177,7 +195,7 @@ def variance_report(
     pairs = lgset.multiple_sums(D, qs)  # D[q] + D[2q] + ... per modulus
     del D
     ssq = size + 2 * pairs
-    # size <= x <= 2.5e7, which the FFT buffer's byte limit allows, so
+    # size <= x < 5e7, which the pair counts' byte limit allows, so
     # ssq <= size^2 < 2^53 are exact floats: the roundings of int / int
     contrib = ssq - size * size / qs
     per_modulus = list(zip(moduli, ssq.tolist(), contrib.tolist()))

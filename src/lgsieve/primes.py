@@ -47,12 +47,25 @@ class PrimeTable:
         self._largest_factor = None
 
     def largest_factor_array(self) -> np.ndarray:
-        """Array of largest prime factors, built lazily; lpf[1] == 1."""
+        """Array of largest prime factors, built lazily; lpf[1] == 1.
+
+        lpf(n) = max(spf(n), lpf(n // spf(n))), and n // spf(n) <= n / 2,
+        so each block [lo, 2 lo) reads only the finished lpf[:lo]: about
+        log2(limit) vectorized steps on int32 temporaries of at most
+        limit / 2 + 1 entries.
+        """
         if self._largest_factor is None:
+            spf = self.smallest_factor
             lpf = np.zeros(self.limit + 1, dtype=np.int32)
             lpf[1] = 1
-            for p in self.primes:  # ascending, so the last write wins
-                lpf[p::p] = p
+            lo = 2
+            while lo <= self.limit:
+                hi = min(2 * lo, self.limit + 1)
+                p = spf[lo:hi]
+                cofactor = np.arange(lo, hi, dtype=np.int32)
+                cofactor //= p
+                np.maximum(p, lpf[cofactor], out=lpf[lo:hi])
+                lo = hi
             self._largest_factor = lpf
         return self._largest_factor
 

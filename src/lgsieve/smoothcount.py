@@ -12,6 +12,7 @@ smooth mass lands within 2*gamma*sigma of sigma * sum1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Inexact, Rounded
 from dataclasses import dataclass
@@ -67,11 +68,18 @@ class WeightedSet:
         self.sigma = _exact_sum(arr)
 
 
+_SUM_CHUNK = 1 << 16  # entries per list handed to math.fsum
+
+
 def _exact_sum(values) -> float:
+    """The correctly rounded sum of a 1-D array.  Floats reach
+    ``math.fsum`` as one stream of Python floats, made _SUM_CHUNK at a
+    time, so no list of the whole array is ever built."""
     arr = np.asarray(values)
     if np.issubdtype(arr.dtype, np.integer):
         return float(arr.sum())
-    return math.fsum(arr.tolist())
+    chunks = np.split(arr, range(_SUM_CHUNK, arr.size, _SUM_CHUNK))
+    return math.fsum(itertools.chain.from_iterable(map(np.ndarray.tolist, chunks)))
 
 
 @dataclass

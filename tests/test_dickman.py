@@ -4,11 +4,40 @@ import numpy as np
 import pytest
 
 from lgsieve import build_dickman_table, empirical_rho, rho
+from lgsieve.dickman import _interp
 
 
 @pytest.fixture(scope="module")
 def table():
     return build_dickman_table(max_u=6.0)
+
+
+def dickman_by_points(step, max_u):
+    """Oracle: the trapezoid recurrence one grid point at a time."""
+    n = math.ceil(max_u / step)
+    values = np.ones(n + 1)
+    for i in range(1, n + 1):
+        u = i * step
+        if u <= 1.0:
+            continue
+        u_prev = (i - 1) * step
+        if u_prev < 1.0:
+            h = u - 1.0
+            values[i] = 1.0 - (h / 2.0) * (1.0 + _interp(values, step, u - 1.0) / u)
+        else:
+            g_prev = _interp(values, step, u_prev - 1.0) / u_prev
+            g_here = _interp(values, step, u - 1.0) / u
+            values[i] = values[i - 1] - (step / 2.0) * (g_prev + g_here)
+    return values
+
+
+# 2^-10 and 0.1 land on u = 1 exactly (no kink step); 0.3 and 1/3 do not,
+# and fill their tables one point per block
+@pytest.mark.parametrize("step", [2.0**-10, 2.0**-11, 0.3, 0.1, 1 / 3])
+@pytest.mark.parametrize("max_u", [1.0, 1.5, 2.0, 1 / 0.3 + 1, 6.0, 10.0])
+def test_table_equals_per_point_loop(step, max_u):
+    got = build_dickman_table(step=step, max_u=max_u)
+    assert got.values.tobytes() == dickman_by_points(step, max_u).tobytes()
 
 
 def test_rho_is_one_on_unit_interval(table):

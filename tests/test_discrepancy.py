@@ -188,24 +188,81 @@ def test_fft_length_is_least_5_smooth():
     assert _fft_length(2 * 10**5) == 2 * 10**5
 
 
+def pair_counts_oracle(A, B, x):
+    """Sums (B given) or differences a >= a' (B None) of A, pair by pair."""
+    counts = np.zeros(x + 1, dtype=np.int64)
+    for a in A.tolist():
+        if B is None:
+            for a2 in A.tolist():
+                if a >= a2:
+                    counts[a - a2] += 1
+        else:
+            for b in B.tolist():
+                counts[a + b] += 1
+    return counts
+
+
+def assert_pair_counts_match_oracle(A, B, x):
+    got = _pair_counts(A, B, x)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, pair_counts_oracle(A, B, x))
+    return got
+
+
 def test_pair_counts_brute_force():
     rng = random.Random(3)
     x = 300
     A = distinct_ints(rng.sample(range(1, 151), 60), 150)
     B = distinct_ints(rng.sample(range(1, 151), 45), 150)
-    sums = np.zeros(x + 1, dtype=np.int64)
-    diffs = np.zeros(x + 1, dtype=np.int64)
-    for a in A.tolist():
-        for b in B.tolist():
-            sums[a + b] += 1
-        for a2 in A.tolist():
-            if a >= a2:
-                diffs[a - a2] += 1
-    got_sums, got_diffs = _pair_counts(A, B, x), _pair_counts(A, None, x)
-    assert got_sums.dtype == got_diffs.dtype == np.int64
-    assert np.array_equal(got_sums, sums)
-    assert np.array_equal(got_diffs, diffs)
-    assert got_diffs[0] == A.size
+    assert_pair_counts_match_oracle(A, B, x)
+    assert assert_pair_counts_match_oracle(A, None, x)[0] == A.size
+
+
+@pytest.mark.parametrize(
+    "x, A, B",
+    [
+        (50, [], []),
+        (50, [], [7, 20]),  # no sums: a window of zeros at min B
+        (50, [7, 20], []),
+        (50, [13], [37]),
+        (50, [50], None),
+        (10**4, [9000, 9003, 9010, 9011], [501, 640, 777]),  # far from 1, span << x
+        (10**4, [1, 2, 10**4], None),  # span = x - 1
+        (10**4, [1, 5000, 5003], [4000, 4997]),  # sums end exactly at x
+        (97, [1, 96], [1]),  # sums span all of [2, x]
+    ],
+)
+def test_pair_counts_offset_sets_brute_force(x, A, B):
+    A = distinct_ints(A, x)
+    assert_pair_counts_match_oracle(A, None, x)
+    if B is not None:
+        B = distinct_ints(B, x)
+        assert_pair_counts_match_oracle(A, B, x)
+        assert_pair_counts_match_oracle(B, None, x)
+
+
+@st.composite
+def offset_sets(draw):
+    """(x, A, B) with A and B each in a window [lo, lo + span] of [1, x]
+    and max A + max B <= x."""
+    x = draw(st.integers(min_value=1, max_value=400))
+    windows = []
+    for top in (x // 2, x - x // 2):
+        lo = draw(st.integers(min_value=1, max_value=max(top, 1)))
+        hi = draw(st.integers(min_value=lo, max_value=max(top, lo)))
+        windows.append(draw(st.sets(st.integers(min_value=lo, max_value=hi), max_size=40)))
+    A, B = windows
+    B = {b for b in B if b <= x - max(A, default=0)}
+    return x, distinct_ints(A, x), distinct_ints(B, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(offset_sets())
+def test_pair_counts_offset_sets_property(case):
+    x, A, B = case
+    assert_pair_counts_match_oracle(A, B, x)
+    assert_pair_counts_match_oracle(A, None, x)
+    assert_pair_counts_match_oracle(B, None, x)
 
 
 def test_pair_counts_rejects_sums_above_x():
@@ -230,15 +287,25 @@ def test_pair_counts_certificate_raises(monkeypatch, shift, what, sums):
 
 
 def test_pair_counts_over_byte_limit_raises(monkeypatch, set100):
-    # at x = 100 sums take _fft_length(101) = 108 float64 entries,
-    # differences _fft_length(200) = 200
+    # at x = 100 the counts take 101 int64 entries and the FFT buffer is
+    # sized by span: the sums of [1, 2, 3] take _fft_length(5) = 5 float64
+    # entries, its differences _fft_length(5), those of [1, 2, 100]
+    # _fft_length(199) = 200
     monkeypatch.setattr(primes, "ARRAY_BYTES_MAX", 8 * 108)
     A = distinct_ints([1, 2, 3], 100)
     assert int(_pair_counts(A, A, 100).sum()) == 9
+    assert int(_pair_counts(A, None, 100).sum()) == 6
     with pytest.raises(ResourceLimitError, match="the FFT buffer needs 1600 bytes"):
+        _pair_counts(distinct_ints([1, 2, 100], 100), None, 100)
+    # a test set in [1, x/2] spans at most x/2 - 1: _fft_length(99) = 100
+    # fits where a set spanning [1, x] does not
+    assert variance_report(range(1, 51), set100, 1.0, 0.4, eps_prime=0.34).size == 50
+    with pytest.raises(ResourceLimitError, match="the FFT buffer needs 1600 bytes"):
+        variance_report(range(1, 101), set100, 1.0, 0.4, eps_prime=0.34)
+    # the x + 1 counts are checked even when the buffer is shorter
+    monkeypatch.setattr(primes, "ARRAY_BYTES_MAX", 8 * 101 - 1)
+    with pytest.raises(ResourceLimitError, match="the pair-count array needs 808 bytes"):
         _pair_counts(A, None, 100)
-    with pytest.raises(ResourceLimitError, match="the FFT buffer"):
-        variance_report(range(1, 51), set100, 1.0, 0.4, eps_prime=0.34)
 
 
 def test_variance_report_certificate_raises(monkeypatch, set100):

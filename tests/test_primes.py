@@ -82,6 +82,36 @@ def test_table_matches_masked_loop_around_prime_squares(p):
             assert_table_matches_masked_loop(limit)
 
 
+def largest_factor_by_slices(limit):
+    """Oracle: one strided write per prime, ascending, so the largest
+    prime factor's write lands last."""
+    lpf = np.zeros(limit + 1, dtype=np.int32)
+    lpf[1] = 1
+    for p in simple_prime_sieve(limit):
+        lpf[p::p] = p
+    return lpf
+
+
+def test_largest_factor_array_matches_slices_every_limit_to_3000():
+    # lpf(n) does not depend on the limit, so one oracle serves every prefix
+    oracle = largest_factor_by_slices(3000)
+    for limit in range(2, 3001):
+        lpf = build_prime_table(limit).largest_factor_array()
+        assert lpf.dtype == np.int32
+        assert np.array_equal(lpf, oracle[: limit + 1]), limit
+
+
+def test_largest_factor_array_matches_slices_around_prime_powers():
+    # the doubling blocks end at powers of 2, so around 2^k the last block
+    # is cut one short of, at or one past a full doubling
+    top = 3 * 10**5
+    oracle = largest_factor_by_slices(top + 1)
+    powers = {p**k for p in (2, 3, 5) for k in range(1, 19) if p**k <= top}
+    for limit in sorted({n + d for n in powers for d in (-1, 0, 1)} - {1}):
+        assert np.array_equal(build_prime_table(limit).largest_factor_array(),
+                              oracle[: limit + 1]), limit
+
+
 def test_build_prime_table_entered_once_per_call(monkeypatch):
     # a tracer wrapping the public function sees one call and one table
     calls = []

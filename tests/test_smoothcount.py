@@ -145,6 +145,22 @@ def test_weighted_set_validation():
     assert list(np.flatnonzero(ws.array)) == [3, 7]
 
 
+CHUNK = smoothcount._SUM_CHUNK
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_exact_sum_equals_fsum_of_the_whole_list(n):
+    rng = np.random.default_rng(n)
+    arr = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    if n > CHUNK:
+        # a huge pair that cancels across a chunk boundary: a sum of
+        # per-chunk sums would round away the rest of both chunks
+        arr[CHUNK - 1 : CHUNK + 1] = [1e100, -1e100]
+    expected = math.fsum(arr.tolist())
+    assert smoothcount._exact_sum(arr) == expected
+    assert smoothcount._exact_sum(-arr) == -expected
+
+
 def test_sieve_report_unit_weights(set100, table1k):
     part = partition(set100, 0.6, 1.0, table1k)
     w = np.ones(101)
