@@ -48,7 +48,15 @@ class DiscrepancyReport:
     exact_bound_holds: bool
     pair_bound_holds: bool
     identity_rel_err: float
-    per_modulus: list = field(repr=False, default_factory=list)  # (q, sum_sq, contribution)
+    # one entry per modulus; the tuples and lines are built only when read
+    q: np.ndarray = field(repr=False, compare=False)
+    sum_sq: np.ndarray = field(repr=False, compare=False)
+    contribution: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def per_modulus(self) -> list:
+        """(q, sum_sq, contribution) per modulus, as Python numbers."""
+        return list(zip(self.q.tolist(), self.sum_sq.tolist(), self.contribution.tolist()))
 
     def modulus_csv_lines(self):
         lines = [MODULUS_CSV_HEADER]
@@ -185,22 +193,20 @@ def variance_report(
     coverage, which does not read it.
     """
     x = lgset.params.x
-    moduli = lgset.members[: lgset.count_below(cutoff_exponent)]
+    qs = lgset.qs[: lgset.count_below(cutoff_exponent)]
     C = distinct_ints(elements, x)
     size = int(C.size)
     xc = real_pow(x, cutoff_exponent)
     D = _pair_counts(C, None, x)
 
-    qs = np.asarray(moduli, dtype=np.int64)
     pairs = lgset.multiple_sums(D, qs)  # D[q] + D[2q] + ... per modulus
     del D
     ssq = size + 2 * pairs
     # size <= x < 5e7, which the pair counts' byte limit allows, so
     # ssq <= size^2 < 2^53 are exact floats: the roundings of int / int
     contrib = ssq - size * size / qs
-    per_modulus = list(zip(moduli, ssq.tolist(), contrib.tolist()))
     pair_sum = 2 * int(pairs.sum())
-    sum_sq_total = size * len(moduli) + pair_sum
+    sum_sq_total = size * qs.size + pair_sum
     lhs = math.fsum(contrib.tolist())
     # same quantity via the expanded identity sum C(a,q)^2 - |C|^2 sum 1/q
     lhs_alt = sum_sq_total - size * size * math.fsum((1.0 / qs).tolist())
@@ -214,7 +220,7 @@ def variance_report(
     rhs_exact = size * (xc + eps_prime * size)
     return DiscrepancyReport(
         size=size,
-        moduli_count=len(moduli),
+        moduli_count=qs.size,
         xc=xc,
         epsilon=epsilon,
         epsilon_prime=eps_prime,
@@ -227,5 +233,7 @@ def variance_report(
         exact_bound_holds=lhs < rhs_exact,
         pair_bound_holds=pair_sum <= size * (size - 1),
         identity_rel_err=identity_rel_err,
-        per_modulus=per_modulus,
+        q=qs,
+        sum_sq=ssq,
+        contribution=contrib,
     )

@@ -21,7 +21,6 @@ import copy
 import json
 import math
 import operator
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,7 +30,7 @@ from .primes import INT32_MAX, PrimeTable, check_array_bytes
 
 COVERAGE_CSV_HEADER = "x,delta,cutoff,covered,exceptional,harmonic_sum,epsilon_prime"
 
-JSON_BLOCK = 8192  # members per str.join in save_json
+JSON_BLOCK = 8192  # members per block in save_json
 
 
 @dataclass(frozen=True)
@@ -72,21 +71,37 @@ def _multiple_blocks(qs: np.ndarray, x: int):
 
 
 class LGSet:
-    """Sorted member list, searched by bisection, and a lazily built
-    divisor map.  Members must be distinct integers in [2, x]."""
+    """The members as one read-only, ascending int32 array ``qs``,
+    searched with searchsorted, and a lazily built divisor map.  Members
+    must be distinct integers in [2, x]; a 1-D integer ndarray is taken
+    as it is, any other iterable element by element."""
 
     def __init__(self, params: LGParams, members):
         self.params = params
         error = f"members must be distinct integers in [2, {params.x}]"
-        try:
-            # operator.index, unlike int(), rejects floats, Fractions and Decimals
-            self.members = m = sorted(map(operator.index, members))
-        except TypeError:
-            raise ValueError(error) from None
-        # strictly increasing: sorted and no duplicates
-        if not all(map(operator.lt, m, m[1:])) or (m and not 2 <= m[0] <= m[-1] <= params.x):
+        if not isinstance(members, np.ndarray):
+            try:
+                # operator.index, unlike int(), rejects floats, Fractions and Decimals
+                members = np.fromiter(map(operator.index, members), np.int64)
+            except (TypeError, OverflowError):
+                raise ValueError(error) from None
+        if members.ndim != 1 or members.dtype.kind not in "iu" or (
+            members.size and not 2 <= members.min() <= members.max() <= params.x
+        ):
             raise ValueError(error)
+        # in [2, x], which LGParams caps at INT32_MAX, so the cast is exact
+        qs = np.sort(members.astype(np.int32, copy=False))
+        # strictly increasing: sorted and no duplicates
+        if not (qs[1:] > qs[:-1]).all():
+            raise ValueError(error)
+        qs.flags.writeable = False  # shared by every with_cutoff copy
+        self.qs = qs
         self._divisors = None  # (div, disjoint), see multiples_disjoint
+
+    @property
+    def members(self) -> list:
+        """The members, ascending, as a new list of Python ints."""
+        return self.qs.tolist()
 
     def multiples_disjoint(self) -> bool:
         """True iff no m <= x has two member divisors (every pairwise lcm
@@ -95,10 +110,9 @@ class LGSet:
         per _multiple_blocks run; on a set that is not LG, a marked m
         holds one of its member divisors."""
         if self._divisors is None:
-            x, members = self.params.x, self.members
+            x, qs = self.params.x, self.qs
             check_array_bytes(x + 1, 4, "the divisor map")
             div = np.zeros(x + 1, dtype=np.int32)
-            qs = np.asarray(members, dtype=np.int32)  # members <= x, which LGParams caps
             for g, block in _multiple_blocks(qs, x):
                 div[block] = g
             div.flags.writeable = False  # shared by every reader and with_cutoff copy
@@ -144,25 +158,30 @@ class LGSet:
 
     def count_below(self, c: float) -> int:
         """Number k of members below x^c, for delta < c <= 1 (ValueError
-        otherwise); members[:k] are the moduli of cutoff exponent c."""
+        otherwise); qs[:k] are the moduli of cutoff exponent c."""
         p = self.params
         if not p.delta < c <= 1:
             raise ValueError(f"cutoff {c} outside ({p.delta}, 1]")
-        return bisect_right(self.members, largest_int_below_pow(p.x, c))
+        # a bound of qs's own dtype: a Python int would make numpy cast all of qs
+        bound = self.qs.dtype.type(largest_int_below_pow(p.x, c))
+        return int(self.qs.searchsorted(bound, side="right"))
 
     def __len__(self):
-        return len(self.members)
+        return self.qs.size
 
     def __contains__(self, n):
-        i = bisect_left(self.members, n)
-        return i < len(self.members) and self.members[i] == n
+        qs = self.qs
+        if not 2 <= n <= self.params.x:  # also keeps n inside int32
+            return False
+        i = int(qs.searchsorted(qs.dtype.type(n)))
+        return i < qs.size and qs[i] == n
 
     def __eq__(self, other):
         if not isinstance(other, LGSet):
             return NotImplemented
         sp, op = self.params, other.params
         return (sp.x, sp.delta, sp.c) == (op.x, op.delta, op.c) and (
-            self.members == other.members
+            np.array_equal(self.qs, other.qs)
         )
 
 
@@ -229,7 +248,7 @@ def construct(params: LGParams, table: PrimeTable) -> LGSet:
         # expand each node to prod * ps[j] for every j < idx (below x, as ps[j] < ps[idx])
         parent, idx = _ranges(idx)
         prod = prod[parent] * ps[idx]
-    return LGSet(params, np.sort(np.concatenate(levels)).tolist())
+    return LGSet(params, np.concatenate(levels))
 
 
 def find_divisor(m: int, lgset: LGSet):
@@ -253,14 +272,13 @@ def verify_pairwise_lcm(lgset: LGSet) -> PairwiseLcmReport:
     pair is listed in the group of m = lcm(a, b): the groups come in
     ascending m, and no common multiple of a and b is smaller than their lcm.
     """
-    members = lgset.members
-    n = len(members)
+    n = len(lgset)
     pair_count = n * (n - 1) // 2
     if lgset.multiples_disjoint():
         return PairwiseLcmReport(pair_count, [])
     div, x = lgset._divisors[0], lgset.params.x
     ms, qs = [], []
-    for g, block in _multiple_blocks(np.asarray(members, dtype=np.int32), x):
+    for g, block in _multiple_blocks(lgset.qs, x):
         hit = div[block] != g
         ms.append(block[hit])
         qs.append(np.broadcast_to(g, block.shape)[hit])
@@ -285,11 +303,12 @@ def coverage(lgset: LGSet, cutoff_exponent: float, table: PrimeTable) -> Coverag
     is not LG.  ``table`` is unused and kept for the call signature."""
     params = lgset.params
     x = params.x
-    small = lgset.members[: lgset.count_below(cutoff_exponent)]
-    top = small[-1] if small else 0  # div holds only members, so this bounds it
+    k = lgset.count_below(cutoff_exponent)
+    small = lgset.qs[:k]
+    top = int(small[-1]) if k else 0  # div holds only members, so this bounds it
     div = lgset.divisor_map()
     covered = int(np.count_nonzero((div > 0) & (div <= top)))
-    harmonic = math.fsum(1.0 / q for q in small)
+    harmonic = math.fsum((1.0 / small).tolist())
     report = CoverageReport(
         x=x,
         delta=params.delta,
@@ -298,10 +317,10 @@ def coverage(lgset: LGSet, cutoff_exponent: float, table: PrimeTable) -> Coverag
         exceptional_count=x - covered,
         harmonic_sum=harmonic,
         epsilon_prime=1.0 - harmonic,
-        members_below_cutoff=len(small),
+        members_below_cutoff=k,
     )
     # accounting invariant; a failure here is an implementation bug
-    if not abs(harmonic - covered / x) <= len(small) / x + 1.0 / x:
+    if not abs(harmonic - covered / x) <= k / x + 1.0 / x:
         raise RuntimeError(
             f"harmonic sum {harmonic!r} inconsistent with covered/x = {covered / x!r}"
         )
@@ -310,19 +329,36 @@ def coverage(lgset: LGSet, cutoff_exponent: float, table: PrimeTable) -> Coverag
 
 def choose_cutoff(lgset: LGSet, epsilon: float) -> float:
     """Smallest c on the 0.01 grid in (delta, 1] whose tail harmonic
-    sum over members >= x^c stays below epsilon/2."""
+    sum over members >= x^c stays below epsilon/2.
+
+    The tail is a correctly rounded fsum over a shrinking suffix of
+    positive terms, so the test "tail < epsilon/2" is monotone along
+    the grid.  One float cumsum of the reversed reciprocals, read at
+    float guesses of each grid point's count_below, gives a guess at
+    the first point that passes; the exact test then walks up from it
+    while it fails and down while the point before passes, so the
+    answer is the exact one, usually after two fsums.
+    """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon out of (0,1): {epsilon}")
-    delta = lgset.params.delta
-    recips = [1.0 / q for q in lgset.members]
+    x, delta = lgset.params.x, lgset.params.delta
+    qs, half = lgset.qs, epsilon / 2.0
     grid = [k for k in range(int(math.floor(delta * 100)) + 1, 101) if k / 100.0 > delta]
-    # the tail sums over a shrinking suffix of positive terms and fsum
-    # rounds correctly, so it never grows with c: bisect for the first pass
-    i = bisect_left(
-        grid,
-        True,
-        key=lambda k: math.fsum(recips[lgset.count_below(k / 100.0) :]) < epsilon / 2.0,
-    )
+    recips = 1.0 / qs  # the doubles 1.0 / q
+
+    def passes(i: int) -> bool:
+        return math.fsum(recips[lgset.count_below(grid[i] / 100.0) :].tolist()) < half
+
+    # tails[j] ~ the sum of the last j reciprocals
+    tails = np.concatenate(([0.0], np.cumsum(recips[::-1])))
+    bounds = np.ceil(np.minimum(float(x) ** (np.array(grid) / 100.0), x))
+    starts = qs.searchsorted(bounds.astype(qs.dtype))  # ~ count_below at each point
+    # the float tails never grow along the grid, so the points that fail come first
+    i = int(np.count_nonzero(tails[qs.size - starts] >= half))
+    while i < len(grid) and not passes(i):
+        i += 1
+    while i > 0 and passes(i - 1):
+        i -= 1
     return grid[i] / 100.0 if i < len(grid) else 1.0
 
 
@@ -341,16 +377,16 @@ def to_json_dict(lgset: LGSet) -> dict:
 
 def save_json(lgset: LGSet, path) -> None:
     """Write the bytes of ``json.dump(to_json_dict(lgset), fh,
-    sort_keys=True, indent=2)`` plus a newline.  json's indenting encoder
-    is pure Python, so the members are joined here in blocks instead."""
+    sort_keys=True, indent=2)`` plus a newline, one block of members
+    at a time: the repr of a block's list, with its indenting spliced in."""
     p = lgset.params
-    members = lgset.members
+    qs = lgset.qs
     with open(path, "w") as fh:
         fh.write(f'{{\n  "c": {json.dumps(p.c)},\n  "delta": {json.dumps(p.delta)},\n  "members": [')
-        for i in range(0, len(members), JSON_BLOCK):
+        for i in range(0, qs.size, JSON_BLOCK):
             fh.write(",\n    " if i else "\n    ")
-            fh.write(",\n    ".join(map(str, members[i : i + JSON_BLOCK])))
-        if members:
+            fh.write(repr(qs[i : i + JSON_BLOCK].tolist())[1:-1].replace(", ", ",\n    "))
+        if qs.size:
             fh.write("\n  ")
         fh.write(f'],\n  "x": {json.dumps(p.x)}\n}}\n')
 

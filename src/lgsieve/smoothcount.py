@@ -105,7 +105,7 @@ def partition(lgset: LGSet, theta: float, cutoff: float, table: PrimeTable) -> S
     x = params.x
     if not params.delta < theta <= 1:
         raise ValueError(f"theta {theta} outside ({params.delta}, 1]")
-    small = np.asarray(lgset.members[: lgset.count_below(cutoff)], dtype=np.int64)
+    small = lgset.qs[: lgset.count_below(cutoff)]
     if table.limit < x:
         raise ValueError(f"table limit {table.limit} < x = {x}")
     y = real_pow(x, theta)

@@ -443,6 +443,19 @@ def test_overlapping_set_has_no_divisor_map(table1k):
         [Fraction(11)],
         [Decimal(11)],
         ["11"],
+        np.array([11, 2**63 + 11], dtype=np.uint64),  # would wrap to 11 as int64
+        np.array([11, 97], dtype=np.int64) - 108,  # negative
+        np.array([11, 11, 97], dtype=np.int32),
+        np.array([11, 101], dtype=np.int32),
+        np.array([True, False]),
+        np.array([11.0, 97.0]),
+        np.array([], dtype=np.float64),
+        np.array([[11, 97]]),
+        np.array(11),
+        np.array([11, 97], dtype=object),
+        [11, 2**64 + 11],  # beyond int64 before the range check
+        (q for q in [11, 97.0]),
+        11,  # not iterable
     ],
 )
 def test_lgset_rejects_bad_members(members):
@@ -454,6 +467,51 @@ def test_lgset_accepts_numpy_integers():
     s = LGSet(LGParams(100, 0.2), [np.int64(97), np.int32(11), 35])
     assert s.members == [11, 35, 97]
     assert all(type(q) is int for q in s.members)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+def test_lgset_takes_integer_arrays(dtype):
+    given = np.array([97, 11, 35], dtype=dtype)
+    s = LGSet(LGParams(100, 0.2), given)
+    assert s.members == [11, 35, 97]
+    assert s.qs.dtype == np.int32 and not s.qs.flags.writeable
+    given[0] = 13  # the caller's array is neither frozen nor shared
+    assert s.members == [11, 35, 97]
+
+
+@pytest.mark.parametrize(
+    "members",
+    [[], (), iter([]), range(0), np.array([], dtype=np.int64), np.empty(0, dtype=np.uint64)],
+)
+def test_lgset_takes_empty_inputs(members):
+    s = LGSet(LGParams(100, 0.2), members)
+    assert len(s) == 0 and s.members == [] and 11 not in s
+    assert s.count_below(1.0) == 0
+
+
+def test_lgset_takes_generators_and_ranges():
+    p = LGParams(100, 0.2)
+    assert LGSet(p, (q for q in [97, 35, 11])).members == [11, 35, 97]
+    assert LGSet(p, range(90, 101, 3)).members == [90, 93, 96, 99]
+    assert LGSet(p, range(99, 89, -3)).members == [90, 93, 96, 99]
+
+
+def test_members_is_a_new_list_of_ints():
+    s = LGSet(LGParams(100, 0.2), np.array([97, 11, 35], dtype=np.uint64))
+    m = s.members
+    assert type(m) is list and [type(q) for q in m] == [int] * 3
+    assert m is not s.members
+    m[0] = 12
+    m.append(99)
+    assert s.members == [11, 35, 97] and len(s) == 3 and 99 not in s
+    with pytest.raises(ValueError):
+        s.qs[0] = 12  # the one store is read-only
+
+
+@pytest.mark.parametrize("n", [11, 11.0, np.int64(35), 97, 2**40, -97, 11.5, 0, 101])
+def test_membership_by_value_outside_int32(n):
+    s = LGSet(LGParams(100, 0.2), [11, 35, 97])
+    assert (n in s) == (n in [11, 35, 97])
 
 
 def test_coverage_full_cutoff(set100, table1k):
@@ -580,6 +638,48 @@ def test_choose_cutoff_matches_linear_scan_property(x, delta, epsilon, data):
     assert choose_cutoff(s, epsilon) == _choose_cutoff_linear(s, epsilon)
 
 
+def _grid_tails(s):
+    """Every grid point's tail over the members above x^c, in (0, 1/2)."""
+    recips = [1.0 / q for q in s.members]
+    delta = s.params.delta
+    tails = {
+        math.fsum(recips[s.count_below(k / 100.0) :])
+        for k in range(int(math.floor(delta * 100)) + 1, 101)
+        if k / 100.0 > delta
+    }
+    return sorted(t for t in tails if 0 < t < 0.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    x=st.integers(min_value=4, max_value=10**5),
+    delta=st.floats(min_value=0.01, max_value=0.6),
+    data=st.data(),
+)
+def test_choose_cutoff_on_exact_grid_tails(x, delta, data):
+    # epsilon/2 set to a grid point's exact tail and to its neighbouring
+    # doubles, where the float cumsum's guess can fall on the wrong side
+    # of the exact test and must be walked back to the oracle's answer
+    members = data.draw(st.sets(st.integers(min_value=2, max_value=x), max_size=400))
+    s = LGSet(LGParams(x, delta), members)
+    tails = _grid_tails(s)
+    if not tails:
+        return
+    tail = data.draw(st.sampled_from(tails))
+    for half in (math.nextafter(tail, 0.0), tail, math.nextafter(tail, 1.0)):
+        epsilon = 2.0 * half  # exact, so epsilon / 2.0 == half
+        assert choose_cutoff(s, epsilon) == _choose_cutoff_linear(s, epsilon), half
+
+
+@pytest.mark.parametrize("x, delta", [(10**4, 0.05), (10**5, 0.05), (9973, 0.2)])
+def test_choose_cutoff_on_every_grid_tail_of_a_built_set(table100k, x, delta):
+    s = construct(LGParams(x, delta), table100k)
+    for tail in _grid_tails(s):
+        for half in (math.nextafter(tail, 0.0), tail, math.nextafter(tail, 1.0)):
+            epsilon = 2.0 * half
+            assert choose_cutoff(s, epsilon) == _choose_cutoff_linear(s, epsilon), half
+
+
 def test_choose_cutoff_regression_100k(table100k):
     # frozen after a one-off tail-sum sweep over the constructed set
     s = construct(LGParams(10**5, 0.05), table100k)
@@ -615,7 +715,7 @@ def test_with_cutoff_changes_only_c():
     t = with_cutoff(s, 0.9)
     assert (s.params.c, t.params.c) == (0.8, 0.9)
     assert t.params == LGParams(100, 0.2, 0.9)
-    assert t.members is s.members
+    assert t.qs is s.qs
     assert t.divisor_map() is div and s.divisor_map() is div
 
 
