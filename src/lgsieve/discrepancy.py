@@ -20,7 +20,7 @@ float64 FFT product, rounded to integers and certified before use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .primes import PrimeTable, check_array_bytes
 MODULUS_CSV_HEADER = "q,sum_sq,contribution"
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscrepancyReport:
     size: int
     moduli_count: int
@@ -49,9 +49,19 @@ class DiscrepancyReport:
     pair_bound_holds: bool
     identity_rel_err: float
     # one entry per modulus; the tuples and lines are built only when read
-    q: np.ndarray = field(repr=False, compare=False)
-    sum_sq: np.ndarray = field(repr=False, compare=False)
-    contribution: np.ndarray = field(repr=False, compare=False)
+    q: np.ndarray = field(repr=False)
+    sum_sq: np.ndarray = field(repr=False)
+    contribution: np.ndarray = field(repr=False)
+
+    def __eq__(self, other):
+        """Field by field, the per-modulus arrays by their values."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True
 
     @property
     def per_modulus(self) -> list:
@@ -203,8 +213,9 @@ def variance_report(
     del D
     ssq = size + 2 * pairs
     # size <= x < 5e7, which the pair counts' byte limit allows, so
-    # ssq <= size^2 < 2^53 are exact floats: the roundings of int / int
-    contrib = ssq - size * size / qs
+    # ssq <= size^2 < 2^53 are exact floats: the roundings of int / int.
+    # size^2 is cast first, as it exceeds qs's int32 range from |C| = 46341
+    contrib = ssq - float(size * size) / qs
     pair_sum = 2 * int(pairs.sum())
     sum_sq_total = size * qs.size + pair_sum
     lhs = math.fsum(contrib.tolist())

@@ -336,8 +336,8 @@ def choose_cutoff(lgset: LGSet, epsilon: float) -> float:
     the grid.  One float cumsum of the reversed reciprocals, read at
     float guesses of each grid point's count_below, gives a guess at
     the first point that passes; the exact test then walks up from it
-    while it fails and down while the point before passes, so the
-    answer is the exact one, usually after two fsums.
+    while it fails or, if the guess passes, down while the point before
+    passes, so the answer is the exact one, usually after two fsums.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon out of (0,1): {epsilon}")
@@ -354,11 +354,12 @@ def choose_cutoff(lgset: LGSet, epsilon: float) -> float:
     bounds = np.ceil(np.minimum(float(x) ** (np.array(grid) / 100.0), x))
     starts = qs.searchsorted(bounds.astype(qs.dtype))  # ~ count_below at each point
     # the float tails never grow along the grid, so the points that fail come first
-    i = int(np.count_nonzero(tails[qs.size - starts] >= half))
+    guess = i = int(np.count_nonzero(tails[qs.size - starts] >= half))
     while i < len(grid) and not passes(i):
         i += 1
-    while i > 0 and passes(i - 1):
-        i -= 1
+    if i == guess:  # after a step up, the point before i is known to fail
+        while i > 0 and passes(i - 1):
+            i -= 1
     return grid[i] / 100.0 if i < len(grid) else 1.0
 
 
@@ -377,15 +378,15 @@ def to_json_dict(lgset: LGSet) -> dict:
 
 def save_json(lgset: LGSet, path) -> None:
     """Write the bytes of ``json.dump(to_json_dict(lgset), fh,
-    sort_keys=True, indent=2)`` plus a newline, one block of members
-    at a time: the repr of a block's list, with its indenting spliced in."""
+    sort_keys=True, indent=2)`` plus a newline, joining one block of
+    members at a time."""
     p = lgset.params
     qs = lgset.qs
     with open(path, "w") as fh:
         fh.write(f'{{\n  "c": {json.dumps(p.c)},\n  "delta": {json.dumps(p.delta)},\n  "members": [')
         for i in range(0, qs.size, JSON_BLOCK):
             fh.write(",\n    " if i else "\n    ")
-            fh.write(repr(qs[i : i + JSON_BLOCK].tolist())[1:-1].replace(", ", ",\n    "))
+            fh.write(",\n    ".join(map(str, qs[i : i + JSON_BLOCK].tolist())))
         if qs.size:
             fh.write("\n  ")
         fh.write(f'],\n  "x": {json.dumps(p.x)}\n}}\n')

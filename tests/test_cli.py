@@ -430,6 +430,10 @@ OUTPUT_HASHES = {
                       "9814692ed0c8c53bd234dea3dcabc90c7ad3d40e87e95851c75480af49e0116b"),
     "sieve-check-3": ([*_SIEVE, "--trials", "3", "--out", "{out}"], 0,
                       "23fb2d21568ab81f973faf4fad3d5e06a0c44bbc61b0b1cc2d2d2c40c79aa370"),
+    # |C|^2 > 2^31 - 1: the contributions divide it by the int32 moduli
+    "sieve-check-50000": (["sieve-check", "--x", "100000", "--delta", "0.05", "--size", "50000",
+                           "--seed", "3", "--out", "{out}"], 0,
+                          "0d161f87485ac96ba6a971b512b2762cab016ba43f2453eeab0d7eb0a3b34cf6"),
     **{
         f"theorem2-{w}": (
             ["theorem2", *_SET, *_T3, "--weights", w, "--seed", "5", "--out", "{out}"], 0, h)

@@ -1,6 +1,6 @@
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -99,6 +99,17 @@ def test_variance_report_without_table(set10k, table10k):
         assert variance_report(C, set10k, cutoff, 0.1) == given_eps
 
 
+def test_report_equality_compares_per_modulus_values(set10k):
+    C = random.Random(4).sample(range(1, 10**4 + 1), 500)
+    rep = variance_report(C, set10k, 1.0, 0.1, eps_prime=0.3)
+    assert replace(rep, q=rep.q.astype(np.int64), contribution=rep.contribution.copy()) == rep
+    bumped = rep.contribution.copy()
+    bumped[-1] += 1.0
+    assert replace(rep, contribution=bumped) != rep
+    assert replace(rep, sum_sq=rep.sum_sq[:-1]) != rep
+    assert replace(rep, lhs=rep.lhs + 1.0) != rep
+
+
 def test_random_trials_10k(set10k, table10k):
     eps_prime = coverage(set10k, 1.0, table10k).epsilon_prime
     rng = random.Random(42)
@@ -144,6 +155,15 @@ def test_variance_matches_histogram_oracle_every_modulus(table10k, x):
         for C in cases:
             rep = variance_report(C, lg, 1.0, 0.1, eps_prime=0.5)
             assert rep.per_modulus == variance_oracle(C, moduli_below(lg, 1.0))
+
+
+def test_variance_matches_histogram_oracle_above_int32_square(table100k):
+    # |C|^2 > 2^31 - 1 for |C| >= 46341, past the int32 range of the moduli
+    lg = construct(LGParams(10**5, 0.3), table100k)
+    C = random.Random(8).sample(range(1, 10**5 + 1), 50000)
+    rep = variance_report(C, lg, 0.6, 0.1, eps_prime=0.3)
+    assert rep.moduli_count > 0
+    assert rep.per_modulus == variance_oracle(C, moduli_below(lg, 0.6))
 
 
 def test_variance_matches_histogram_oracle_lg_set(set10k):
