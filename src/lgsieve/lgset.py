@@ -371,25 +371,51 @@ def with_cutoff(lgset: LGSet, c: float) -> LGSet:
     return out
 
 
-def to_json_dict(lgset: LGSet) -> dict:
-    p = lgset.params
-    return {"x": p.x, "delta": p.delta, "c": p.c, "members": lgset.members}
+def _decimal_lines(block: np.ndarray, sep: bytes) -> list:
+    """The members of the ascending int32 block in decimal, each followed
+    by sep, as one bytes object per run of equal digit count.
+
+    One uint8 matrix holds every member right-aligned in W digit columns,
+    W the widest member's digit count, then sep; a run of w-digit
+    members is its rows' last w + len(sep) columns.  Members are at
+    most 2**31 - 1, so int32 holds every quotient."""
+    n = block.size
+    # powers of ten of block's own dtype: a Python int would make numpy cast the block
+    tens = 10 ** np.arange(1, 10, dtype=block.dtype)
+    # the w-digit members are block[bounds[w - 1] : bounds[w]]
+    bounds = np.concatenate(([0], block.searchsorted(tens), [n]))
+    width = 1 + int(np.count_nonzero(bounds[1:-1] < n))
+    mat = np.empty((n, width + len(sep)), dtype=np.uint8)
+    mat[:, width:] = np.frombuffer(sep, dtype=np.uint8)
+    rest = block.copy()
+    for col in range(width - 1, -1, -1):
+        mat[:, col] = rest % 10
+        rest //= 10
+    mat[:, :width] += ord("0")
+    return [
+        mat[bounds[w - 1] : bounds[w], width - w :].tobytes()
+        for w in range(1, width + 1)
+        if bounds[w - 1] < bounds[w]
+    ]
 
 
 def save_json(lgset: LGSet, path) -> None:
-    """Write the bytes of ``json.dump(to_json_dict(lgset), fh,
-    sort_keys=True, indent=2)`` plus a newline, joining one block of
-    members at a time."""
+    """Write the bytes of ``json.dump({"x": x, "delta": delta, "c": c,
+    "members": members}, fh, sort_keys=True, indent=2)`` plus a newline.
+    The members are encoded one block of JSON_BLOCK at a time, as a
+    digit matrix (_decimal_lines), so no Python object is made per member."""
     p = lgset.params
     qs = lgset.qs
-    with open(path, "w") as fh:
-        fh.write(f'{{\n  "c": {json.dumps(p.c)},\n  "delta": {json.dumps(p.delta)},\n  "members": [')
+    sep = b",\n    "
+    with open(path, "wb") as fh:
+        fh.write(f'{{\n  "c": {json.dumps(p.c)},\n  "delta": {json.dumps(p.delta)},\n'.encode())
+        fh.write(b'  "members": [\n    ' if qs.size else b'  "members": [')
         for i in range(0, qs.size, JSON_BLOCK):
-            fh.write(",\n    " if i else "\n    ")
-            fh.write(",\n    ".join(map(str, qs[i : i + JSON_BLOCK].tolist())))
-        if qs.size:
-            fh.write("\n  ")
-        fh.write(f'],\n  "x": {json.dumps(p.x)}\n}}\n')
+            lines = _decimal_lines(qs[i : i + JSON_BLOCK], sep)
+            if i + JSON_BLOCK >= qs.size:  # no separator after the last member
+                lines[-1] = lines[-1][: -len(sep)] + b"\n  "
+            fh.writelines(lines)
+        fh.write(f'],\n  "x": {json.dumps(p.x)}\n}}\n'.encode())
 
 
 def load_json(path) -> LGSet:

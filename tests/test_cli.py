@@ -150,6 +150,18 @@ def test_load_rejects_x_beyond_int32(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("lgsieve: x must be in [4, 2147483647]")
 
 
+def test_build_from_set_writes_ten_digit_members(tmp_path, capsys):
+    # build --set is the one command path to 10-digit members: build alone
+    # stops at x = 10^8 - 1; the members span every width from 1 to 10 digits
+    members = [2, *(e for k in range(1, 10) for e in (10**k - 1, 10**k)), 2**31 - 1]
+    doc = {"x": 2**31 - 1, "delta": 0.05, "c": 0.93, "members": members}
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps(doc))  # one line, so the output is no copy of it
+    assert run_cli("build", "--set", str(src), "--out", str(out)) == 0
+    assert out.read_bytes() == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    assert f"members={len(members)}" in capsys.readouterr().out
+
+
 def test_coverage_on_overlapping_set(tmp_path, capsys):
     path = tmp_path / "set.json"
     path.write_text(json.dumps({"x": 100, "delta": 0.2, "c": 1.0, "members": [11, 55]}))

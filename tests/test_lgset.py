@@ -28,7 +28,7 @@ from lgsieve import (
     verify_pairwise_lcm,
     with_cutoff,
 )
-from lgsieve.lgset import JSON_BLOCK, _multiple_blocks, to_json_dict
+from lgsieve.lgset import JSON_BLOCK, _multiple_blocks
 from lgsieve.powers import floor_pow, largest_int_below_pow
 from lgsieve.primes import INT32_MAX
 
@@ -731,10 +731,18 @@ def test_json_roundtrip(tmp_path, set100):
 
 
 def json_dump_bytes(s, path):
+    p = s.params
+    doc = {"x": p.x, "delta": p.delta, "c": p.c, "members": s.members}
     with open(path, "w") as fh:
-        json.dump(to_json_dict(s), fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path.read_bytes()
+
+
+def assert_saved_as_json_dump(s, tmp):
+    save_json(s, tmp / "set.json")
+    assert (tmp / "set.json").read_bytes() == json_dump_bytes(s, tmp / "ref.json")
+    assert load_json(tmp / "set.json") == s
 
 
 @pytest.mark.parametrize(
@@ -750,7 +758,42 @@ def json_dump_bytes(s, path):
     ],
 )
 def test_save_json_bytes_match_json_dump(tmp_path, x, delta, c, members):
-    s = LGSet(LGParams(x, delta, c), members)
-    save_json(s, tmp_path / "set.json")
-    assert (tmp_path / "set.json").read_bytes() == json_dump_bytes(s, tmp_path / "ref.json")
-    assert load_json(tmp_path / "set.json") == s
+    assert_saved_as_json_dump(LGSet(LGParams(x, delta, c), members), tmp_path)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+@pytest.mark.parametrize("x, first", [(20000, 10**4), (INT32_MAX, 10**9)])
+def test_save_json_width_change_at_block_edge(tmp_path, x, first, shift):
+    # the first member with one more digit sits at index JSON_BLOCK + shift:
+    # the last of the first block, the first of the second, or the one after
+    members = range(first - JSON_BLOCK - shift, first + 20)
+    s = LGSet(LGParams(x, 0.05, 0.93), members)
+    assert int(s.qs[JSON_BLOCK + shift]) == first
+    assert_saved_as_json_dump(s, tmp_path)
+
+
+def _width_edges(x):
+    """10**k - 1 and 10**k for k = 1..9, and 2**31 - 1, those in [2, x]."""
+    edges = [e for k in range(1, 10) for e in (10**k - 1, 10**k)] + [INT32_MAX]
+    return [e for e in edges if e <= x]
+
+
+@st.composite
+def sets_of_every_width(draw):
+    x = draw(st.integers(min_value=4, max_value=INT32_MAX))
+    widths = [w for w in range(1, 11) if 10 ** (w - 1) <= x]
+    drawn = draw(st.lists(
+        st.sampled_from(widths).flatmap(
+            lambda w: st.integers(min_value=max(2, 10 ** (w - 1)), max_value=min(x, 10**w - 1))
+        ),
+        max_size=200,
+    ))
+    delta = draw(st.floats(min_value=1e-6, max_value=0.5))
+    c = draw(st.one_of(st.just(1), st.floats(min_value=0.51, max_value=1.0)))
+    return LGSet(LGParams(x, delta, c), {*drawn, *_width_edges(x)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(sets_of_every_width())
+def test_save_json_matches_json_dump_at_every_width(tmp_path_factory, s):
+    assert_saved_as_json_dump(s, tmp_path_factory.mktemp("json"))

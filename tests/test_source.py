@@ -295,3 +295,11 @@ def test_member_multiples_walked_by_one_helper(func):
     helper = _functions("lgset.py")["_multiple_blocks"]
     assert "zeros" not in {n.attr for n in ast.walk(helper) if isinstance(n, ast.Attribute)}
     assert [n.lineno for n in ast.walk(helper) if isinstance(n, ast.AugAssign)] == []
+
+
+def test_save_json_makes_no_object_per_member():
+    # the members are written from a numpy digit matrix: no list of them
+    # (tolist, LGSet.members) and no str or map over them
+    names = _names_reached("lgset.py", "save_json")
+    assert {"_decimal_lines", "tobytes"} <= names  # the walk does see the helper
+    assert not names & {"tolist", "members", "str", "map"}
