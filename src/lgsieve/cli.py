@@ -299,22 +299,18 @@ def _cmd_theorem2(args) -> int:
     return _emit_json(doc, args.out)
 
 
-def _sample_sets(args, x_domain):
-    rng = random.Random(args.seed)
-    A = rng.sample(range(1, x_domain + 1), min(args.size_a, x_domain))
-    B = rng.sample(range(1, x_domain + 1), min(args.size_b, x_domain))
-    return A, B
-
-
 def _sumset_setup(args):
     if getattr(args, "lg_at_2x", False):
         if args.set_path:
             raise ValueError("--lg-at-2x cannot be combined with --set")
         s, table = _set_and_table(args, 2 * args.x)
-        A, B = _sample_sets(args, args.x)
+        x_domain = args.x
     else:
         s, table = _set_and_table(args)
-        A, B = _sample_sets(args, s.params.x // 2)
+        x_domain = s.params.x // 2
+    rng = random.Random(args.seed)
+    A = rng.sample(range(1, x_domain + 1), min(args.size_a, x_domain))
+    B = rng.sample(range(1, x_domain + 1), min(args.size_b, x_domain))
     return s, table, A, B
 
 

@@ -3,8 +3,9 @@
 rho(u) is 1 on [0, 1] and solves the delay equation
 u * rho'(u) = -rho(u - 1).  The table integrates the equivalent
 integral form rho(u) = rho(v) - int_v^u rho(t-1)/t dt with the
-trapezoid rule on a uniform grid, interpolating linearly wherever a
-value between grid points is needed.
+trapezoid rule on a uniform grid.  One routine, ``_interp``, gives rho
+between grid points by linear interpolation, for one u or an array of
+them: the table reads it while it fills, and ``rho`` reads it after.
 """
 
 from __future__ import annotations
@@ -28,22 +29,13 @@ class DickmanTable:
 
 
 def _interp(values, step, u):
-    k = u / step
-    lo = int(math.floor(k))
-    if lo >= len(values) - 1:
-        return float(values[-1])
+    """The grid values linearly interpolated at u, a float or an array;
+    at or past the last grid point, the last value itself."""
+    last = len(values) - 1
+    k = np.minimum(u / step, last)
+    lo = np.minimum(np.floor(k), last - 1).astype(np.int64)
     frac = k - lo
-    return float(values[lo] * (1.0 - frac) + values[lo + 1] * frac)
-
-
-def _g(values, step, i):
-    """rho(u - 1) / u at the grid points u = i * step (an int array),
-    interpolated as ``_interp`` does, term for term."""
-    u = i * step
-    k = (u - 1.0) / step
-    lo = np.floor(k).astype(np.int64)
-    frac = k - lo
-    return (values[lo] * (1.0 - frac) + values[lo + 1] * frac) / u
+    return values[lo] * (1.0 - frac) + values[lo + 1] * frac
 
 
 def build_dickman_table(step: float = DEFAULT_STEP, max_u: float = 10.0) -> DickmanTable:
@@ -78,7 +70,8 @@ def build_dickman_table(step: float = DEFAULT_STEP, max_u: float = 10.0) -> Dick
     block = max(1, int(1.0 / step) - 2)
     for lo in range(first, n + 1, block):
         hi = min(lo + block, n + 1)
-        g = _g(values, step, np.arange(lo - 1, hi))
+        u = np.arange(lo - 1, hi) * step
+        g = _interp(values, step, u - 1.0) / u
         terms = (step / 2.0) * (g[:-1] + g[1:])
         terms[0] = values[lo - 1] - terms[0]
         values[lo:hi] = np.subtract.accumulate(terms)
@@ -86,13 +79,13 @@ def build_dickman_table(step: float = DEFAULT_STEP, max_u: float = 10.0) -> Dick
 
 
 def rho(u: float, table: DickmanTable) -> float:
-    if u < 0:
+    if not u >= 0:  # nan fails the comparison
         raise ValueError(f"u must be nonnegative, got {u}")
     if u <= 1.0:
         return 1.0
     if u > table.max_u:
         raise ValueError(f"u={u} beyond table range {table.max_u}")
-    return _interp(table.values, table.step, u)
+    return float(_interp(table.values, table.step, u))
 
 
 def empirical_rho(x: int, u, table: PrimeTable):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .powers import floor_pow, largest_int_below_pow
-from .primes import INT32_MAX, PrimeTable, check_array_bytes
+from .primes import INT32_MAX, PrimeTable, _int_in_range, check_array_bytes
 
 COVERAGE_CSV_HEADER = "x,delta,cutoff,covered,exceptional,harmonic_sum,epsilon_prime"
 
@@ -253,9 +253,7 @@ def construct(params: LGParams, table: PrimeTable) -> LGSet:
 
 def find_divisor(m: int, lgset: LGSet):
     """The unique member of N dividing m, or None."""
-    x = lgset.params.x
-    if not 1 <= m <= x:
-        raise ValueError(f"m={m} outside [1, {x}]")
+    m = _int_in_range("m", m, 1, lgset.params.x)
     d = int(lgset.divisor_map()[m])
     return d or None
 

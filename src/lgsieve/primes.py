@@ -9,6 +9,7 @@ concurrent reads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,13 +110,21 @@ def build_prime_table(limit: int) -> PrimeTable:
     return PrimeTable(limit, spf, primes)
 
 
-def _check_range(n: int, table: PrimeTable, low: int = 2) -> None:
-    if not low <= n <= table.limit:
-        raise ValueError(f"n={n} outside [{low}, {table.limit}]")
+def _int_in_range(name: str, value, low: int, high: int) -> int:
+    """``value`` as an int, if it is an integer in [low, high]; numpy
+    integers pass, and floats fail as they do for LGSet members."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        pass
+    else:
+        if low <= n <= high:
+            return n
+    raise ValueError(f"{name}={value} outside [{low}, {high}]")
 
 
 def factorize(n: int, table: PrimeTable) -> Factorization:
-    _check_range(n, table)
+    n = _int_in_range("n", n, 2, table.limit)
     spf = table.smallest_factor
     out = []
     m = n
@@ -135,7 +144,7 @@ def largest_prime_factor(n: int, table: PrimeTable) -> int:
 
 def is_smooth(n: int, y: float, table: PrimeTable) -> bool:
     """True iff every prime factor of n is <= y; n = 1 is always smooth."""
-    _check_range(n, table, low=1)
+    n = _int_in_range("n", n, 1, table.limit)
     if n == 1:
         return True
     return largest_prime_factor(n, table) <= y

@@ -40,26 +40,19 @@ class SmoothPartition:
 class WeightedSet:
     """Nonnegative weights on {1..x} with their exact total sigma.
 
-    Accepts either a dense array of length x+1 (index 0 unused and
-    zero) or a sparse {n: weight} mapping.
+    ``weights`` is a dense array of length x+1 whose index 0 is unused
+    and zero.  The set keeps the caller's array, not a copy.
     """
 
     def __init__(self, x: int, weights):
         if x < 1:
             raise ValueError(f"bound must be >= 1, got {x}")
         self.x = int(x)
-        if isinstance(weights, dict):
-            arr = np.zeros(x + 1)
-            for n, w in weights.items():
-                if not 1 <= n <= x:
-                    raise ValueError(f"support point {n} outside [1, {x}]")
-                arr[n] = w
-        else:
-            arr = np.asarray(weights)
-            if arr.shape != (x + 1,):
-                raise ValueError(f"dense weights must have length x+1 = {x + 1}")
-            if arr[0] != 0:
-                raise ValueError("weight at index 0 must be zero")
+        arr = np.asarray(weights)
+        if arr.shape != (x + 1,):
+            raise ValueError(f"dense weights must have length x+1 = {x + 1}")
+        if arr[0] != 0:
+            raise ValueError("weight at index 0 must be zero")
         # integer and bool weights are finite: no float copy to check them
         finite = arr.dtype.kind in "biu" or np.all(np.isfinite(arr.astype(float, copy=False)))
         if np.any(arr < 0) or not finite:

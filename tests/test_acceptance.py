@@ -12,6 +12,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from lgsieve import (
@@ -205,17 +206,17 @@ def test_criterion_7_smoothness_crux(grid_sets, table100k):
 
 
 def _random_weight_set(x, rng, kind):
+    w = np.zeros(x + 1)
     if kind == 0:  # dense random
-        return WeightedSet(x, {n: rng.random() for n in range(1, x + 1)})
-    if kind == 1:  # sparse random
+        w[1:] = [rng.random() for _ in range(x)]
+    elif kind == 1:  # sparse random
         support = rng.sample(range(1, x + 1), x // 8)
-        return WeightedSet(x, {n: 0.5 + rng.random() for n in support})
-    if kind == 2:  # indicator of a random subset
-        support = rng.sample(range(1, x + 1), x // 3)
-        return WeightedSet(x, {n: 1.0 for n in support})
-    # concentrated support: hypotheses typically fail
-    support = rng.sample(range(1, 50), 10)
-    return WeightedSet(x, {n: 1.0 for n in support})
+        w[support] = [0.5 + rng.random() for _ in support]
+    elif kind == 2:  # indicator of a random subset
+        w[rng.sample(range(1, x + 1), x // 3)] = 1.0
+    else:  # concentrated support: hypotheses typically fail
+        w[rng.sample(range(1, 50), 10)] = 1.0
+    return WeightedSet(x, w)
 
 
 def test_criterion_8_implication_suite(grid_sets, table100k):

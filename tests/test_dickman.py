@@ -2,14 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgsieve import build_dickman_table, empirical_rho, rho
-from lgsieve.dickman import _interp
 
 
 @pytest.fixture(scope="module")
 def table():
     return build_dickman_table(max_u=6.0)
+
+
+def interp_by_point(values, step, u):
+    """Oracle: linear interpolation at one u, clamped to the last grid
+    value, written apart from the vectorized interpolation in src."""
+    k = u / step
+    lo = int(math.floor(k))
+    if lo >= len(values) - 1:
+        return float(values[-1])
+    frac = k - lo
+    return float(values[lo] * (1.0 - frac) + values[lo + 1] * frac)
 
 
 def dickman_by_points(step, max_u):
@@ -23,10 +35,10 @@ def dickman_by_points(step, max_u):
         u_prev = (i - 1) * step
         if u_prev < 1.0:
             h = u - 1.0
-            values[i] = 1.0 - (h / 2.0) * (1.0 + _interp(values, step, u - 1.0) / u)
+            values[i] = 1.0 - (h / 2.0) * (1.0 + interp_by_point(values, step, u - 1.0) / u)
         else:
-            g_prev = _interp(values, step, u_prev - 1.0) / u_prev
-            g_here = _interp(values, step, u - 1.0) / u
+            g_prev = interp_by_point(values, step, u_prev - 1.0) / u_prev
+            g_here = interp_by_point(values, step, u - 1.0) / u
             values[i] = values[i - 1] - (step / 2.0) * (g_prev + g_here)
     return values
 
@@ -78,6 +90,33 @@ def test_first_step_past_the_kink_off_grid():
     assert np.all(err <= (us[on] - 1.0) * t.step**2 / 6)
 
 
+@pytest.fixture(scope="module", params=[2.0**-10, 0.3, 1 / 3, 0.01])
+def step_table(request):
+    return build_dickman_table(step=request.param, max_u=4.0)
+
+
+def rho_by_point(u, table):
+    return 1.0 if u <= 1.0 else interp_by_point(table.values, table.step, u)
+
+
+def test_rho_equals_per_point_interpolation_on_the_grid(step_table):
+    t = step_table
+    grid = (np.arange(len(t.values)) * t.step).tolist()
+    assert grid[-1] == t.max_u
+    got = [rho(u, t) for u in grid]
+    assert np.array(got).tobytes() == np.array([rho_by_point(u, t) for u in grid]).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rho_equals_per_point_interpolation(step_table, data):
+    t = step_table
+    u = data.draw(st.floats(min_value=0.0, max_value=t.max_u))
+    got = rho(u, t)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(rho_by_point(u, t)).tobytes()
+
+
 def test_rho_at_table_end(table):
     # the last grid point has no right neighbour: _interp returns it
     assert table.max_u == 6.0
@@ -95,6 +134,8 @@ def test_rho_out_of_range(table):
         rho(7.0, table)
     with pytest.raises(ValueError):
         rho(-0.1, table)
+    with pytest.raises(ValueError, match="u must be nonnegative, got nan"):
+        rho(math.nan, table)
 
 
 def test_bad_table_params():

@@ -20,6 +20,8 @@ from lgsieve import (
     coverage,
     factorize,
     find_divisor,
+    is_smooth,
+    largest_prime_factor,
     load_json,
     partition,
     save_json,
@@ -202,6 +204,25 @@ def test_find_divisor_out_of_range(set100):
         find_divisor(0, set100)
     with pytest.raises(ValueError):
         find_divisor(101, set100)
+
+
+@pytest.mark.parametrize(
+    "m", [np.int32(70), np.uint8(70), np.int64(70), 70.0, 5.5, np.float64(70), Fraction(70), "70"]
+)
+def test_per_integer_lookups_take_integers_only(set100, table1k, m):
+    # the rule LGSet applies to members: numpy integers pass, floats never
+    lookups = [
+        lambda n: find_divisor(n, set100),
+        lambda n: factorize(n, table1k),
+        lambda n: is_smooth(n, 5, table1k),
+        lambda n: largest_prime_factor(n, table1k),
+    ]
+    for lookup in lookups:
+        if isinstance(m, np.integer):
+            assert lookup(m) == lookup(70)
+        else:
+            with pytest.raises(ValueError, match="outside"):
+                lookup(m)
 
 
 def test_find_divisor_against_full_scan(set100):
@@ -426,8 +447,10 @@ def test_overlapping_set_has_no_divisor_map(table1k):
     with pytest.raises(ValueError, match="not LG"):
         find_divisor(55, s)
     part = partition(s, 0.5, 1.0, table1k)
+    w = np.zeros(101)
+    w[55] = 1.0
     with pytest.raises(ValueError, match="not LG"):
-        sieve_report(WeightedSet(100, {55: 1.0}), part, s, 0.2, table1k)
+        sieve_report(WeightedSet(100, w), part, s, 0.2, table1k)
 
 
 @pytest.mark.parametrize(

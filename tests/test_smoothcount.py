@@ -113,20 +113,19 @@ def test_smoothness_crux_exhaustive_1k(table1k, theta):
         assert is_smooth(m, y, table1k) == (q in n1)
 
 
+def indicator(x, points):
+    """Dense weights: 1.0 at each of ``points``, 0.0 elsewhere on [0, x]."""
+    w = np.zeros(x + 1)
+    w[points] = 1.0
+    return w
+
+
 def test_weighted_set_validation():
-    with pytest.raises(ValueError):
-        WeightedSet(10, {0: 1.0})
-    with pytest.raises(ValueError):
-        WeightedSet(10, {11: 1.0})
-    with pytest.raises(ValueError):
-        WeightedSet(10, {3: -1.0})
     bad = np.zeros(11)
     bad[0] = 2.0
     with pytest.raises(ValueError):
         WeightedSet(10, bad)
-    for w in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            WeightedSet(10, {3: w})
+    for w in (-1.0, math.inf, math.nan):
         dense = np.zeros(11)
         dense[3] = w
         with pytest.raises(ValueError):
@@ -134,15 +133,27 @@ def test_weighted_set_validation():
     with pytest.raises(ValueError):
         WeightedSet(10, np.zeros(10))  # length x, not x + 1
     with pytest.raises(ValueError):
-        WeightedSet(0, {})
+        WeightedSet(0, np.zeros(1))
     with pytest.raises(ValueError):
         WeightedSet(10, np.array([0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0]))
     ints = WeightedSet(10, np.arange(11))
     assert ints.sigma == 55 and ints.array.dtype.kind == "i"
     assert WeightedSet(10, np.arange(11) % 2 == 1).sigma == 5
-    ws = WeightedSet(10, {3: 1.5, 7: 2.5})
-    assert ws.sigma == 4.0
-    assert list(np.flatnonzero(ws.array)) == [3, 7]
+    w = np.zeros(11)
+    w[[3, 7]] = [1.5, 2.5]
+    ws = WeightedSet(10, w)
+    assert ws.sigma == 4.0 and ws.array is w
+
+
+def test_weighted_set_rejects_a_dict_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense weights must have length"):
+            WeightedSet(10**12, {3: 1.0})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 CHUNK = smoothcount._SUM_CHUNK
@@ -172,7 +183,7 @@ def test_sieve_report_unit_weights(set100, table1k):
 
 def test_sieve_report_indicator(set100, table1k):
     part = partition(set100, 0.6, 1.0, table1k)
-    ws = WeightedSet(100, {35: 1.0, 70: 1.0})
+    ws = WeightedSet(100, indicator(100, [35, 70]))
     rep = sieve_report(ws, part, set100, 0.2, table1k)
     assert (rep.lhs1, rep.lhs2, rep.tau) == (2.0, 0.0, 0.0)
 
@@ -185,7 +196,7 @@ def test_sieve_report_zero_weights(set100, table1k):
 
 def test_sieve_report_bound_mismatch(set100, table1k):
     part = partition(set100, 0.6, 1.0, table1k)
-    ws = WeightedSet(50, {35: 1.0})
+    ws = WeightedSet(50, indicator(50, [35]))
     with pytest.raises(ValueError, match="weight bound 50 != set bound 100"):
         sieve_report(ws, part, set100, 0.2, table1k)
 
@@ -600,7 +611,7 @@ def test_sieve_report_smooth_total_at_integer_bound(table10k):
 
 def test_sieve_report_degenerate_support(set100, table1k):
     part = partition(set100, 0.6, 1.0, table1k)
-    ws = WeightedSet(100, {97: 1.0})  # a non-smooth member, so no n1 divisor
+    ws = WeightedSet(100, indicator(100, [97]))  # a non-smooth member, so no n1 divisor
     rep = sieve_report(ws, part, set100, 0.2, table1k)
     assert rep.lhs1 == 0.0
     assert not rep.hyp1_holds
@@ -609,7 +620,7 @@ def test_sieve_report_degenerate_support(set100, table1k):
 
 def test_sieve_report_gamma_range(set100, table1k):
     part = partition(set100, 0.6, 1.0, table1k)
-    ws = WeightedSet(100, {2: 1.0})
+    ws = WeightedSet(100, indicator(100, [2]))
     with pytest.raises(ValueError):
         sieve_report(ws, part, set100, 0.0, table1k)
 
@@ -619,7 +630,9 @@ def test_sandwich_random_trials(set10k, table10k):
     rng = random.Random(11)
     for _ in range(10):
         support = rng.sample(range(1, 10**4 + 1), 500)
-        ws = WeightedSet(10**4, {n: rng.random() for n in support})
+        w = np.zeros(10**4 + 1)
+        w[support] = [rng.random() for _ in support]
+        ws = WeightedSet(10**4, w)
         rep = sieve_report(ws, part, set10k, 0.2, table10k)  # asserts sandwich
         assert rep.smooth_total <= rep.sigma - rep.tau + 1e-9
 
