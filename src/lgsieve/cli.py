@@ -281,7 +281,7 @@ def _make_weights(kind, x, rng) -> smoothcount.WeightedSet:
 
 def _cmd_theorem2(args) -> int:
     s, table = _set_and_table(args)
-    part = smoothcount.partition(s, args.theta, s.params.c, table)
+    part = smoothcount.partition(s, args.theta, table)
     ws = _make_weights(args.weights, s.params.x, random.Random(args.seed))
     rep = smoothcount.sieve_report(ws, part, s, args.gamma, table)
     doc = {
@@ -332,7 +332,7 @@ def _cmd_sweep(args) -> int:
     dt = dickman.build_dickman_table(max_u=1.0 / min(thetas, default=1.0) + 1)
     lines = [SWEEP_CSV_HEADER]
     for theta in thetas:
-        part = smoothcount.partition(s, theta, p.c, table)
+        part = smoothcount.partition(s, theta, table)
         rep = smoothcount.sieve_report(ws, part, s, args.gamma, table)
         smooth_count = int(rep.smooth_total)
         lines.append(

@@ -19,7 +19,6 @@ float64 FFT product, rounded to integers and certified before use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 # largest_int_below_pow is unused here; perfbench/tests asserts this binding
 from .lgset import LGSet, coverage, largest_int_below_pow  # noqa: F401
 from .powers import real_pow
-from .primes import PrimeTable, check_array_bytes
+from .primes import PrimeTable, _exact_sum, check_array_bytes
 
 MODULUS_CSV_HEADER = "q,sum_sq,contribution"
 
@@ -218,9 +217,9 @@ def variance_report(
     contrib = ssq - float(size * size) / qs
     pair_sum = 2 * int(pairs.sum())
     sum_sq_total = size * qs.size + pair_sum
-    lhs = math.fsum(contrib.tolist())
+    lhs = _exact_sum(contrib)
     # same quantity via the expanded identity sum C(a,q)^2 - |C|^2 sum 1/q
-    lhs_alt = sum_sq_total - size * size * math.fsum((1.0 / qs).tolist())
+    lhs_alt = sum_sq_total - size * size * _exact_sum(1.0 / qs)
     scale = max(abs(lhs), abs(lhs_alt), 1.0)
     identity_rel_err = abs(lhs - lhs_alt) / scale
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .powers import floor_pow, largest_int_below_pow
-from .primes import INT32_MAX, PrimeTable, _int_in_range, check_array_bytes
+from .primes import INT32_MAX, PrimeTable, _exact_sum, _int_in_range, check_array_bytes
 
 COVERAGE_CSV_HEADER = "x,delta,cutoff,covered,exceptional,harmonic_sum,epsilon_prime"
 
@@ -44,8 +44,13 @@ class LGParams:
     epsilon_target: float = 0.5
 
     def __post_init__(self):
+        error = f"x must be in [4, {INT32_MAX}], got {self.x}"
+        try:  # as LGSet takes members: a float fails, a numpy integer becomes an int
+            object.__setattr__(self, "x", operator.index(self.x))
+        except TypeError:
+            raise ValueError(error) from None
         if not 4 <= self.x <= INT32_MAX:
-            raise ValueError(f"x must be in [4, {INT32_MAX}], got {self.x}")
+            raise ValueError(error)
         if not 0 < self.delta < self.c <= 1:
             raise ValueError(
                 f"need 0 < delta < c <= 1, got delta={self.delta}, c={self.c}"
@@ -306,7 +311,7 @@ def coverage(lgset: LGSet, cutoff_exponent: float, table: PrimeTable) -> Coverag
     top = int(small[-1]) if k else 0  # div holds only members, so this bounds it
     div = lgset.divisor_map()
     covered = int(np.count_nonzero((div > 0) & (div <= top)))
-    harmonic = math.fsum((1.0 / small).tolist())
+    harmonic = _exact_sum(1.0 / small)
     report = CoverageReport(
         x=x,
         delta=params.delta,
@@ -345,7 +350,7 @@ def choose_cutoff(lgset: LGSet, epsilon: float) -> float:
     recips = 1.0 / qs  # the doubles 1.0 / q
 
     def passes(i: int) -> bool:
-        return math.fsum(recips[lgset.count_below(grid[i] / 100.0) :].tolist()) < half
+        return _exact_sum(recips[lgset.count_below(grid[i] / 100.0) :]) < half
 
     # tails[j] ~ the sum of the last j reciprocals
     tails = np.concatenate(([0.0], np.cumsum(recips[::-1])))

@@ -8,6 +8,7 @@ concurrent reads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -29,6 +30,20 @@ def check_array_bytes(entries, itemsize: int, what: str) -> None:
     size = entries * itemsize
     if size > ARRAY_BYTES_MAX:  # .12g prints a huge size in exponent form
         raise ResourceLimitError(f"{what} needs {size:.12g} bytes; the limit is {ARRAY_BYTES_MAX}")
+
+
+_SUM_CHUNK = 1 << 16  # entries per list handed to math.fsum
+
+
+def _exact_sum(values) -> float:
+    """The correctly rounded sum of a 1-D array.  Floats reach
+    ``math.fsum`` as one stream of Python floats, made _SUM_CHUNK at a
+    time, so no list of the whole array is ever built."""
+    arr = np.asarray(values)
+    if np.issubdtype(arr.dtype, np.integer):
+        return float(arr.sum())
+    chunks = np.split(arr, range(_SUM_CHUNK, arr.size, _SUM_CHUNK))
+    return math.fsum(itertools.chain.from_iterable(map(np.ndarray.tolist, chunks)))
 
 
 class PrimeTable:
@@ -97,8 +112,13 @@ def _primes_up_to(n: int) -> np.ndarray:
 
 
 def build_prime_table(limit: int) -> PrimeTable:
+    error = f"sieve limit must be >= 2, got {limit}"
+    try:
+        limit = operator.index(limit)  # rejects floats, as LGSet does for members
+    except TypeError:
+        raise ValueError(error) from None
     if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {limit}")
+        raise ValueError(error)
     check_array_bytes(limit + 1, 4, "the prime table")  # and the lazy lpf array, same size
     spf = np.zeros(limit + 1, dtype=np.int32)
     # descending, so at each composite n the write of its smallest prime
@@ -145,17 +165,16 @@ def largest_prime_factor(n: int, table: PrimeTable) -> int:
 def is_smooth(n: int, y: float, table: PrimeTable) -> bool:
     """True iff every prime factor of n is <= y; n = 1 is always smooth."""
     n = _int_in_range("n", n, 1, table.limit)
-    if n == 1:
-        return True
-    return largest_prime_factor(n, table) <= y
+    if y != y:  # nan, which compares False with every factor
+        raise ValueError(f"smoothness bound y must not be nan, got {y}")
+    return n == 1 or largest_prime_factor(n, table) <= y
 
 
 def psi_count(x: int, y, table: PrimeTable):
     """#{1 <= n <= x : n is y-smooth} for a bound y (an int back) or a
     1-D array of bounds (an int64 array back), read off one cumulative
     histogram of the largest prime factors at floor(y)."""
-    if not 1 <= x <= table.limit:
-        raise ValueError(f"x={x} outside [1, {table.limit}]")
+    x = _int_in_range("x", x, 1, table.limit)
     if np.isnan(y).any():  # a nan bound would cast to an arbitrary index
         raise ValueError(f"smoothness bound y must not be nan, got {y}")
     # cum[k] = #{n <= x : lpf(n) <= k}; lpf >= 1, so cum[0] = 0 serves y < 1

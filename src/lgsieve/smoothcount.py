@@ -12,7 +12,6 @@ smooth mass lands within 2*gamma*sigma of sigma * sum1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Inexact, Rounded
 from dataclasses import dataclass
@@ -23,16 +22,14 @@ from . import dickman
 from .discrepancy import _pair_counts, distinct_ints, variance_report
 from .lgset import LGSet, coverage, largest_int_below_pow
 from .powers import real_pow
-from .primes import PrimeTable, check_array_bytes
+from .primes import PrimeTable, _exact_sum, check_array_bytes
 
 
 @dataclass
 class SmoothPartition:
-    theta: float
     y: float  # x^theta, the smoothness bound
-    cutoff_exponent: float
-    n1: list  # x^theta-smooth members below the cutoff
-    n2: list  # the rest below the cutoff
+    n1: np.ndarray  # int32, the x^theta-smooth members below x^c
+    n2: np.ndarray  # int32, the rest below x^c
     sum1: float
     sum2: float
 
@@ -61,20 +58,6 @@ class WeightedSet:
         self.sigma = _exact_sum(arr)
 
 
-_SUM_CHUNK = 1 << 16  # entries per list handed to math.fsum
-
-
-def _exact_sum(values) -> float:
-    """The correctly rounded sum of a 1-D array.  Floats reach
-    ``math.fsum`` as one stream of Python floats, made _SUM_CHUNK at a
-    time, so no list of the whole array is ever built."""
-    arr = np.asarray(values)
-    if np.issubdtype(arr.dtype, np.integer):
-        return float(arr.sum())
-    chunks = np.split(arr, range(_SUM_CHUNK, arr.size, _SUM_CHUNK))
-    return math.fsum(itertools.chain.from_iterable(map(np.ndarray.tolist, chunks)))
-
-
 @dataclass
 class SieveReport:
     sigma: float
@@ -93,26 +76,19 @@ class SieveReport:
     lower_bound_holds: bool
 
 
-def partition(lgset: LGSet, theta: float, cutoff: float, table: PrimeTable) -> SmoothPartition:
+def partition(lgset: LGSet, theta: float, table: PrimeTable) -> SmoothPartition:
     params = lgset.params
     x = params.x
     if not params.delta < theta <= 1:
         raise ValueError(f"theta {theta} outside ({params.delta}, 1]")
-    small = lgset.qs[: lgset.count_below(cutoff)]
+    small = lgset.qs[: lgset.count_below(params.c)]  # the members below x^c
     if table.limit < x:
         raise ValueError(f"table limit {table.limit} < x = {x}")
     y = real_pow(x, theta)
     smooth = table.largest_factor_array()[small] <= y
-    recip = 1.0 / small
-    return SmoothPartition(
-        theta=theta,
-        y=y,
-        cutoff_exponent=cutoff,
-        n1=small[smooth].tolist(),
-        n2=small[~smooth].tolist(),
-        sum1=math.fsum(recip[smooth].tolist()),
-        sum2=math.fsum(recip[~smooth].tolist()),
-    )
+    n1, n2 = small[smooth], small[~smooth]
+    sum1, sum2 = _exact_sum(1.0 / n1), _exact_sum(1.0 / n2)
+    return SmoothPartition(y=y, n1=n1, n2=n2, sum1=sum1, sum2=sum2)
 
 
 def sieve_report(
@@ -266,7 +242,7 @@ def theorem3_experiment(
     params = lgset.params
     x = params.x
     cutoff = params.c
-    part = partition(lgset, theta, cutoff, table)  # a bad theta fails before the weights
+    part = partition(lgset, theta, table)  # a bad theta fails before the weights
     ws = sumset_weights(A, B, x)
     cov = coverage(lgset, cutoff, table)
     eps_working = cov.epsilon_prime / 2.0
@@ -293,7 +269,7 @@ def theorem3_experiment(
             f"size condition unmet: need |A|,|B| > {size_floor:.1f}, "
             f"got {size_a}, {size_b}"
         )
-    eps_cap = (gamma / 12.0) * min(part.sum1, part.sum2) if part.n2 else math.inf
+    eps_cap = (gamma / 12.0) * min(part.sum1, part.sum2) if part.n2.size else math.inf
     if eps_working >= eps_cap:
         warnings.append(
             f"working epsilon {eps_working:.4g} not below gamma/12 * min(sum1,sum2)"

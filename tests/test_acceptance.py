@@ -193,7 +193,7 @@ def test_criterion_7_smoothness_crux(grid_sets, table100k):
     s = grid_sets[(x, 0.1)]
     exceptions = 0
     for theta in (0.4, 0.6):
-        part = partition(s, theta, 1.0, table100k)
+        part = partition(s, theta, table100k)
         n1 = set(part.n1)
         y = real_pow(x, theta)
         for m in range(1, x + 1):
@@ -222,7 +222,7 @@ def _random_weight_set(x, rng, kind):
 def test_criterion_8_implication_suite(grid_sets, table100k):
     x = 10**4
     s = grid_sets[(x, 0.05)]
-    part = partition(s, 0.5, 1.0, table100k)
+    part = partition(s, 0.5, table100k)
     rng = random.Random(77)
     hyps_true = conclusion_failures = 0
     for trial in range(50):

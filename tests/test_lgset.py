@@ -18,12 +18,14 @@ from lgsieve import (
     choose_cutoff,
     construct,
     coverage,
+    empirical_rho,
     factorize,
     find_divisor,
     is_smooth,
     largest_prime_factor,
     load_json,
     partition,
+    psi_count,
     save_json,
     sieve_report,
     variance_report,
@@ -121,6 +123,20 @@ def test_params_validation():
     assert LGParams(2**31 - 1, 0.1).x == 2**31 - 1
 
 
+@pytest.mark.parametrize("x", [np.int64(100), 10000.0, 100.5, np.float64(100), Fraction(100), "100"])
+def test_bounds_take_integers_only(x):
+    # a float bound used to pass the range check and fail later in numpy
+    if isinstance(x, np.integer):
+        assert type(LGParams(x, 0.1).x) is int  # json.dumps in save_json takes no numpy int
+        assert LGParams(x, 0.1) == LGParams(100, 0.1)
+        assert build_prime_table(x).primes.tolist() == build_prime_table(100).primes.tolist()
+    else:
+        with pytest.raises(ValueError, match=rf"x must be in \[4, 2147483647\], got {x}$"):
+            LGParams(x, 0.1)
+        with pytest.raises(ValueError, match=f"sieve limit must be >= 2, got {x}$"):
+            build_prime_table(x)
+
+
 def test_construct_x100(set100, table1k):
     assert set100.members == EXPECTED_100
     assert len(set100) == 22
@@ -216,6 +232,8 @@ def test_per_integer_lookups_take_integers_only(set100, table1k, m):
         lambda n: factorize(n, table1k),
         lambda n: is_smooth(n, 5, table1k),
         lambda n: largest_prime_factor(n, table1k),
+        lambda n: psi_count(n, 10, table1k),
+        lambda n: empirical_rho(n, 2.0, table1k),  # through psi_count
     ]
     for lookup in lookups:
         if isinstance(m, np.integer):
@@ -446,7 +464,7 @@ def test_overlapping_set_has_no_divisor_map(table1k):
         coverage(s, 1.0, table1k)
     with pytest.raises(ValueError, match="not LG"):
         find_divisor(55, s)
-    part = partition(s, 0.5, 1.0, table1k)
+    part = partition(s, 0.5, table1k)
     w = np.zeros(101)
     w[55] = 1.0
     with pytest.raises(ValueError, match="not LG"):
@@ -601,7 +619,6 @@ def test_cutoff_range_checked_by_every_reader(set100, table1k, cutoff):
     calls = [
         lambda: set100.count_below(cutoff),
         lambda: coverage(set100, cutoff, table1k),
-        lambda: partition(set100, 0.6, cutoff, table1k),
         lambda: variance_report(range(1, 51), set100, cutoff, 0.2, table1k),
     ]
     for call in calls:

@@ -293,3 +293,10 @@ def test_psi_rejects_nan_bound(table1k, y):
     # a nan bound used to cast to an arbitrary index and raise IndexError
     with pytest.raises(ValueError, match="nan"):
         psi_count(100, y, table1k)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_is_smooth_rejects_nan_bound(table1k, n):
+    # a nan bound compares False with every factor: 1 was smooth and 4 was not
+    with pytest.raises(ValueError, match="smoothness bound y must not be nan"):
+        is_smooth(n, math.nan, table1k)

@@ -33,30 +33,31 @@ from lg_samples import random_lg_set, upper_half_set
 
 
 def test_partition_x100(set100, table1k):
-    part = partition(set100, 0.6, 1.0, table1k)
-    assert part.n1 == [11, 13, 35]
-    assert part.n2 == [q for q in set100.members if q not in (11, 13, 35)]
+    part = partition(set100, 0.6, table1k)
+    assert part.n1.dtype == part.n2.dtype == np.int32
+    assert part.n1.tolist() == [11, 13, 35]
+    assert part.n2.tolist() == [q for q in set100.members if q not in (11, 13, 35)]
     assert part.sum1 == math.fsum(1 / q for q in (11, 13, 35))
 
 
 def test_partition_theta_one(set100, table1k):
-    part = partition(set100, 1.0, 1.0, table1k)
-    assert part.n2 == []
+    part = partition(set100, 1.0, table1k)
+    assert part.n2.tolist() == []
     assert part.sum2 == 0.0
 
 
 def test_partition_theta_too_small(set100, table1k):
     with pytest.raises(ValueError):
-        partition(set100, 0.2, 1.0, table1k)
+        partition(set100, 0.2, table1k)
 
 
 def test_partition_completeness(set10k, table10k):
     for cutoff in (1.0, 0.8):
-        part = partition(set10k, 0.5, cutoff, table10k)
+        part = partition(with_cutoff(set10k, cutoff), 0.5, table10k)
         cov = coverage(set10k, cutoff, table10k)
         bound = largest_int_below_pow(10**4, cutoff)
         below = [q for q in set10k.members if q <= bound]
-        assert sorted(part.n1 + part.n2) == below
+        assert sorted(part.n1.tolist() + part.n2.tolist()) == below
         assert set(part.n1).isdisjoint(part.n2)
         assert part.sum1 + part.sum2 == pytest.approx(cov.harmonic_sum, abs=1e-12)
 
@@ -86,15 +87,15 @@ def _split_by_factorizing(lgset, theta, cutoff, table):
 )
 def test_partition_matches_factorizing_oracle(table10k, x, delta, theta, cutoff):
     s = construct(LGParams(x, delta), table10k)  # table10k is larger than x < 10^4
-    part = partition(s, theta, cutoff, table10k)
-    assert (part.n1, part.n2) == _split_by_factorizing(s, theta, cutoff, table10k)
+    part = partition(with_cutoff(s, cutoff), theta, table10k)
+    assert (part.n1.tolist(), part.n2.tolist()) == _split_by_factorizing(s, theta, cutoff, table10k)
     assert part.sum1 == math.fsum(1.0 / q for q in part.n1)
     assert part.sum2 == math.fsum(1.0 / q for q in part.n2)
 
 
 def test_partition_table_too_small(set10k):
     with pytest.raises(ValueError):
-        partition(set10k, 0.5, 1.0, build_prime_table(5000))
+        partition(set10k, 0.5, build_prime_table(5000))
 
 
 @pytest.mark.parametrize("theta", [0.4, 0.6])
@@ -103,7 +104,7 @@ def test_smoothness_crux_exhaustive_1k(table1k, theta):
     # q, m is x^theta-smooth exactly when q lands in the smooth class
     x = 1000
     s = construct(LGParams(x, 0.1), table1k)
-    part = partition(s, theta, 1.0, table1k)
+    part = partition(s, theta, table1k)
     n1 = set(part.n1)
     y = real_pow(x, theta)
     for m in range(1, x + 1):
@@ -156,7 +157,7 @@ def test_weighted_set_rejects_a_dict_without_allocating():
     assert peak < 2**20
 
 
-CHUNK = smoothcount._SUM_CHUNK
+CHUNK = primes._SUM_CHUNK
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
@@ -168,12 +169,12 @@ def test_exact_sum_equals_fsum_of_the_whole_list(n):
         # per-chunk sums would round away the rest of both chunks
         arr[CHUNK - 1 : CHUNK + 1] = [1e100, -1e100]
     expected = math.fsum(arr.tolist())
-    assert smoothcount._exact_sum(arr) == expected
-    assert smoothcount._exact_sum(-arr) == -expected
+    assert primes._exact_sum(arr) == expected
+    assert primes._exact_sum(-arr) == -expected
 
 
 def test_sieve_report_unit_weights(set100, table1k):
-    part = partition(set100, 0.6, 1.0, table1k)
+    part = partition(set100, 0.6, table1k)
     w = np.ones(101)
     w[0] = 0
     rep = sieve_report(WeightedSet(100, w), part, set100, 0.2, table1k)
@@ -182,20 +183,20 @@ def test_sieve_report_unit_weights(set100, table1k):
 
 
 def test_sieve_report_indicator(set100, table1k):
-    part = partition(set100, 0.6, 1.0, table1k)
+    part = partition(set100, 0.6, table1k)
     ws = WeightedSet(100, indicator(100, [35, 70]))
     rep = sieve_report(ws, part, set100, 0.2, table1k)
     assert (rep.lhs1, rep.lhs2, rep.tau) == (2.0, 0.0, 0.0)
 
 
 def test_sieve_report_zero_weights(set100, table1k):
-    part = partition(set100, 0.6, 1.0, table1k)
+    part = partition(set100, 0.6, table1k)
     rep = sieve_report(WeightedSet(100, np.zeros(101)), part, set100, 0.2, table1k)
     assert (rep.sigma, rep.lhs1, rep.lhs2, rep.tau, rep.smooth_total) == (0.0,) * 5
 
 
 def test_sieve_report_bound_mismatch(set100, table1k):
-    part = partition(set100, 0.6, 1.0, table1k)
+    part = partition(set100, 0.6, table1k)
     ws = WeightedSet(50, indicator(50, [35]))
     with pytest.raises(ValueError, match="weight bound 50 != set bound 100"):
         sieve_report(ws, part, set100, 0.2, table1k)
@@ -229,7 +230,7 @@ def assert_sieve_matches_oracle(ws, part, lgset, table):
 @pytest.mark.parametrize("which", ["set100", "set10k"])
 def test_sieve_report_matches_per_member_walk(request, table10k, which, cutoff, theta, kind):
     s = request.getfixturevalue(which)
-    part = partition(s, theta, cutoff, table10k)
+    part = partition(with_cutoff(s, cutoff), theta, table10k)
     ws = _make_weights(kind, s.params.x, random.Random(7))
     assert_sieve_matches_oracle(ws, part, s, table10k)
 
@@ -247,9 +248,9 @@ def test_sieve_report_matches_per_member_walk(request, table10k, which, cutoff, 
 def test_sieve_report_matches_per_member_walk_property(
     table10k, x, delta, theta, cutoff, seed, density, integer
 ):
-    s = construct(LGParams(x, delta), table10k)
     # theta and the cutoff mapped into (delta, 1]
-    part = partition(s, 1 - (1 - delta) * theta, 1 - (1 - delta) * cutoff, table10k)
+    s = with_cutoff(construct(LGParams(x, delta), table10k), 1 - (1 - delta) * cutoff)
+    part = partition(s, 1 - (1 - delta) * theta, table10k)
     rng = np.random.default_rng(seed)
     if integer:
         w = rng.integers(0, 10**6, size=x + 1)
@@ -583,7 +584,7 @@ def test_difference_equidistributed_x100():
 
 
 def test_sieve_report_uniform_10k(set10k, table10k):
-    part = partition(set10k, 0.5, 1.0, table10k)
+    part = partition(set10k, 0.5, table10k)
     w = np.ones(10**4 + 1)
     w[0] = 0
     ws = WeightedSet(10**4, w)
@@ -601,7 +602,7 @@ def test_sieve_report_smooth_total_at_integer_bound(table10k):
     # which count as smooth; table10k is larger than x
     x = 97**2
     s = construct(LGParams(x, 0.1), table10k)
-    part = partition(s, 0.5, 1.0, table10k)
+    part = partition(s, 0.5, table10k)
     assert part.y == 97.0
     w = np.ones(x + 1, dtype=np.int64)
     w[0] = 0
@@ -610,7 +611,7 @@ def test_sieve_report_smooth_total_at_integer_bound(table10k):
 
 
 def test_sieve_report_degenerate_support(set100, table1k):
-    part = partition(set100, 0.6, 1.0, table1k)
+    part = partition(set100, 0.6, table1k)
     ws = WeightedSet(100, indicator(100, [97]))  # a non-smooth member, so no n1 divisor
     rep = sieve_report(ws, part, set100, 0.2, table1k)
     assert rep.lhs1 == 0.0
@@ -619,14 +620,14 @@ def test_sieve_report_degenerate_support(set100, table1k):
 
 
 def test_sieve_report_gamma_range(set100, table1k):
-    part = partition(set100, 0.6, 1.0, table1k)
+    part = partition(set100, 0.6, table1k)
     ws = WeightedSet(100, indicator(100, [2]))
     with pytest.raises(ValueError):
         sieve_report(ws, part, set100, 0.0, table1k)
 
 
 def test_sandwich_random_trials(set10k, table10k):
-    part = partition(set10k, 0.5, 1.0, table10k)
+    part = partition(set10k, 0.5, table10k)
     rng = random.Random(11)
     for _ in range(10):
         support = rng.sample(range(1, 10**4 + 1), 500)

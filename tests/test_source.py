@@ -72,6 +72,16 @@ def _calls_of(tree, name):
     return found
 
 
+def test_fsum_only_in_exact_sum():
+    # one owner of the correctly rounded sum: every other sum reads _exact_sum
+    owners = {
+        (path.name, func)
+        for path in sorted(SRC.glob("*.py"))
+        for func in _calls_of(ast.parse(path.read_text(), str(path)), "fsum")
+    }
+    assert owners == {("primes.py", "_exact_sum")}
+
+
 def test_resource_limit_raised_only_by_check_array_bytes():
     # one owner of the byte limit: every O(x) array is checked through it
     owners = {
@@ -134,13 +144,13 @@ def test_sieve_report_reads_classes_from_the_divisor_map():
     # lhs1, lhs2 and tau come from one divisor-map read; the walk over
     # each member's multiples (arr[q::q]) is a test oracle only
     names = _names_reached("smoothcount.py", "sieve_report")
-    assert "divisor_map" in names
+    assert {"divisor_map", "_exact_sum"} <= names
     tree = ast.parse((SRC / "smoothcount.py").read_text())
     reached = [
         n for n in tree.body
         if isinstance(n, ast.FunctionDef) and (n.name == "sieve_report" or n.name in names)
     ]
-    assert {"sieve_report", "_exact_sum"} <= {n.name for n in reached}
+    reached.append(_functions("primes.py")["_exact_sum"])  # imported from its owner
     loops = [
         (func.name, node.lineno)
         for func in reached
@@ -303,3 +313,11 @@ def test_save_json_makes_no_object_per_member():
     names = _names_reached("lgset.py", "save_json")
     assert {"_decimal_lines", "tobytes"} <= names  # the walk does see the helper
     assert not names & {"tolist", "members", "str", "map"}
+
+
+def test_partition_makes_no_list_of_members():
+    # N1 and N2 are int32 arrays cut from LGSet.qs: no list of the
+    # members (tolist, LGSet.members)
+    names = _names_reached("smoothcount.py", "partition")
+    assert {"qs", "count_below", "_exact_sum"} <= names  # the walk does see the body
+    assert not names & {"tolist", "members"}
