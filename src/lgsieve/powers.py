@@ -11,7 +11,7 @@ so the caller's decimal context is neither read nor changed.
 from __future__ import annotations
 
 import functools
-from decimal import ROUND_FLOOR, Context, Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 _CTX = Context(prec=50)
 
@@ -36,6 +36,4 @@ def floor_pow(x: int, e: float) -> int:
 def largest_int_below_pow(x: int, e: float) -> int:
     """Largest integer strictly less than x^e; memoized, because callers
     ask for the same boundary x^c once per member and once per report."""
-    v = _pow(x, e)
-    f = v.to_integral_value(ROUND_FLOOR, _CTX)
-    return int(f) - 1 if v == f else int(f)
+    return int(_pow(x, e).to_integral_value(ROUND_CEILING, _CTX)) - 1

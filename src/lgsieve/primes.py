@@ -8,7 +8,6 @@ concurrent reads.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -32,18 +31,15 @@ def check_array_bytes(entries, itemsize: int, what: str) -> None:
         raise ResourceLimitError(f"{what} needs {size:.12g} bytes; the limit is {ARRAY_BYTES_MAX}")
 
 
-_SUM_CHUNK = 1 << 16  # entries per list handed to math.fsum
-
-
 def _exact_sum(values) -> float:
     """The correctly rounded sum of a 1-D array.  Floats reach
-    ``math.fsum`` as one stream of Python floats, made _SUM_CHUNK at a
-    time, so no list of the whole array is ever built."""
+    ``math.fsum`` one at a time through a memoryview of float64, so no
+    list of the array is ever built."""
     arr = np.asarray(values)
     if np.issubdtype(arr.dtype, np.integer):
         return float(arr.sum())
-    chunks = np.split(arr, range(_SUM_CHUNK, arr.size, _SUM_CHUNK))
-    return math.fsum(itertools.chain.from_iterable(map(np.ndarray.tolist, chunks)))
+    # memoryview cannot iterate float16; the cast copies no contiguous float64 array
+    return math.fsum(memoryview(np.ascontiguousarray(arr, dtype=np.float64)))
 
 
 class PrimeTable:

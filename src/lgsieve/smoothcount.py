@@ -54,6 +54,10 @@ class WeightedSet:
         finite = arr.dtype.kind in "biu" or np.all(np.isfinite(arr.astype(float, copy=False)))
         if np.any(arr < 0) or not finite:
             raise ValueError("weights must be finite and nonnegative")
+        if arr.dtype.kind in "iu" and arr.sum(dtype=np.float64) >= 2.0**62:
+            # integer sums wrap past int64; near 2^63 only Python ints can tell
+            if arr.sum(dtype=object) > np.iinfo(np.int64).max:
+                raise ValueError("integer weights must total at most 2**63 - 1")
         self.array = arr
         self.sigma = _exact_sum(arr)
 

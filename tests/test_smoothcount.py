@@ -157,7 +157,18 @@ def test_weighted_set_rejects_a_dict_without_allocating():
     assert peak < 2**20
 
 
-CHUNK = primes._SUM_CHUNK
+def test_weighted_set_rejects_an_integer_total_past_int64():
+    # a wrapped int64 or uint64 total would give a negative or zero sigma
+    w = np.zeros(11, dtype=np.int64)
+    w[1:3] = 2**62
+    for arr in (w, np.array([0, 2**63, 2**63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="must total at most"):
+            WeightedSet(arr.size - 1, arr)
+    w[2] -= 1  # a total of exactly 2**63 - 1 passes
+    assert WeightedSet(10, w).sigma == float(2**63 - 1)
+
+
+CHUNK = 1 << 16
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
@@ -165,12 +176,28 @@ def test_exact_sum_equals_fsum_of_the_whole_list(n):
     rng = np.random.default_rng(n)
     arr = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
     if n > CHUNK:
-        # a huge pair that cancels across a chunk boundary: a sum of
-        # per-chunk sums would round away the rest of both chunks
+        # a huge pair that cancels across indices 65535 and 65536: a sum
+        # of per-block sums, 2^16 entries a block, would round away the
+        # rest of both blocks
         arr[CHUNK - 1 : CHUNK + 1] = [1e100, -1e100]
     expected = math.fsum(arr.tolist())
     assert primes._exact_sum(arr) == expected
     assert primes._exact_sum(-arr) == -expected
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.array([0.1, 1e4, -3.5, 0.1], dtype=np.float16),
+        np.array([0.1, 1e30, -1e30, 0.3], dtype=np.float32),
+        np.array([True, False, True]),
+        (np.arange(1, 40) ** -1.5)[::2],  # strided: not contiguous
+        np.array([]),
+    ],
+    ids=["float16", "float32", "bool", "strided", "empty"],
+)
+def test_exact_sum_of_any_float_dtype_and_layout(arr):
+    assert primes._exact_sum(arr) == math.fsum(np.asarray(arr, float).tolist())
 
 
 def test_sieve_report_unit_weights(set100, table1k):

@@ -321,3 +321,10 @@ def test_partition_makes_no_list_of_members():
     names = _names_reached("smoothcount.py", "partition")
     assert {"qs", "count_below", "_exact_sum"} <= names  # the walk does see the body
     assert not names & {"tolist", "members"}
+
+
+def test_exact_sum_makes_no_list():
+    # math.fsum reads the floats through a memoryview: no list of them
+    names = _names_reached("primes.py", "_exact_sum")
+    assert {"fsum", "memoryview"} <= names  # the walk does see the body
+    assert not names & {"tolist", "split", "chain"}
