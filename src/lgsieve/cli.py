@@ -276,14 +276,14 @@ def _make_weights(kind, x, rng) -> smoothcount.WeightedSet:
         arr[support] = np.fromiter((1.0 + rng.random() for _ in range(size)), float, count=size)
     else:  # indicator of a random subset
         arr[rng.sample(range(1, x + 1), max(1, x // 3))] = 1.0
-    return smoothcount.WeightedSet(x, arr)
+    return smoothcount.WeightedSet(arr)
 
 
 def _cmd_theorem2(args) -> int:
     s, table = _set_and_table(args)
     part = smoothcount.partition(s, args.theta, table)
     ws = _make_weights(args.weights, s.params.x, random.Random(args.seed))
-    rep = smoothcount.sieve_report(ws, part, s, args.gamma, table)
+    rep = smoothcount.sieve_report(ws, part, args.gamma)
     doc = {
         "params": {
             "x": s.params.x,
@@ -333,7 +333,7 @@ def _cmd_sweep(args) -> int:
     lines = [SWEEP_CSV_HEADER]
     for theta in thetas:
         part = smoothcount.partition(s, theta, table)
-        rep = smoothcount.sieve_report(ws, part, s, args.gamma, table)
+        rep = smoothcount.sieve_report(ws, part, args.gamma)
         smooth_count = int(rep.smooth_total)
         lines.append(
             f"{p.x},{p.delta!r},{p.c!r},{theta!r},{args.gamma!r},"

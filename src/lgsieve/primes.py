@@ -159,11 +159,12 @@ def largest_prime_factor(n: int, table: PrimeTable) -> int:
 
 
 def is_smooth(n: int, y: float, table: PrimeTable) -> bool:
-    """True iff every prime factor of n is <= y; n = 1 is always smooth."""
+    """True iff lpf(n) <= y, with lpf(1) = 1 as in ``psi_count`` and the
+    sieve's largest-factor array, so n = 1 is y-smooth iff y >= 1."""
     n = _int_in_range("n", n, 1, table.limit)
     if y != y:  # nan, which compares False with every factor
         raise ValueError(f"smoothness bound y must not be nan, got {y}")
-    return n == 1 or largest_prime_factor(n, table) <= y
+    return (1 if n == 1 else largest_prime_factor(n, table)) <= y
 
 
 def psi_count(x: int, y, table: PrimeTable):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Inexact, Rounded
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,22 +32,23 @@ class SmoothPartition:
     n2: np.ndarray  # int32, the rest below x^c
     sum1: float
     sum2: float
+    lgset: LGSet = field(repr=False)  # the set it was cut from
+    table: PrimeTable = field(repr=False)
 
 
 class WeightedSet:
     """Nonnegative weights on {1..x} with their exact total sigma.
 
-    ``weights`` is a dense array of length x+1 whose index 0 is unused
-    and zero.  The set keeps the caller's array, not a copy.
+    ``weights`` is a dense 1-D array of length x+1 >= 2 whose index 0
+    is unused and zero, so x = len(weights) - 1.  The set keeps the
+    caller's array, not a copy.
     """
 
-    def __init__(self, x: int, weights):
-        if x < 1:
-            raise ValueError(f"bound must be >= 1, got {x}")
-        self.x = int(x)
+    def __init__(self, weights):
         arr = np.asarray(weights)
-        if arr.shape != (x + 1,):
-            raise ValueError(f"dense weights must have length x+1 = {x + 1}")
+        if arr.ndim != 1 or arr.size < 2:
+            raise ValueError(f"dense weights must have length x+1 >= 2, got shape {arr.shape}")
+        self.x = arr.size - 1
         if arr[0] != 0:
             raise ValueError("weight at index 0 must be zero")
         # integer and bool weights are finite: no float copy to check them
@@ -92,23 +93,18 @@ def partition(lgset: LGSet, theta: float, table: PrimeTable) -> SmoothPartition:
     smooth = table.largest_factor_array()[small] <= y
     n1, n2 = small[smooth], small[~smooth]
     sum1, sum2 = _exact_sum(1.0 / n1), _exact_sum(1.0 / n2)
-    return SmoothPartition(y=y, n1=n1, n2=n2, sum1=sum1, sum2=sum2)
+    return SmoothPartition(y=y, n1=n1, n2=n2, sum1=sum1, sum2=sum2, lgset=lgset, table=table)
 
 
-def sieve_report(
-    weights: WeightedSet,
-    part: SmoothPartition,
-    lgset: LGSet,
-    gamma: float,
-    table: PrimeTable,
-) -> SieveReport:
+def sieve_report(weights: WeightedSet, part: SmoothPartition, gamma: float) -> SieveReport:
     """Implication tester for the smooth sieve: evaluates both
     hypotheses, the conclusion inequality, and the unconditional
     sandwich lhs1 <= smooth_total <= sigma - tau; raises ValueError
-    on a set that is not LG."""
+    on a set that is not LG.  The set, its divisor map and the prime
+    table are the ones the partition was cut from."""
     if not 0 < gamma < 1:
         raise ValueError(f"gamma out of (0,1): {gamma}")
-    x = lgset.params.x
+    x = part.lgset.params.x
     if weights.x != x:
         raise ValueError(f"weight bound {weights.x} != set bound {x}")
     arr = weights.array
@@ -118,12 +114,12 @@ def sieve_report(
     cls = np.zeros(x + 1, dtype=np.int8)
     cls[part.n1] = 1
     cls[part.n2] = 2
-    code = cls[lgset.divisor_map()]
+    code = cls[part.lgset.divisor_map()]
     lhs1 = _exact_sum(arr[code == 1])
     lhs2 = tau = _exact_sum(arr[code == 2])
     hyp1 = lhs1 > (1.0 - gamma) * sigma * part.sum1
     hyp2 = lhs2 > (1.0 - gamma) * sigma * part.sum2
-    smooth_total = _exact_sum(arr[table.largest_factor_array()[: x + 1] <= part.y])
+    smooth_total = _exact_sum(arr[part.table.largest_factor_array()[: x + 1] <= part.y])
 
     center = sigma * part.sum1
     bound = 2.0 * gamma * sigma
@@ -161,14 +157,14 @@ def sumset_weights(A, B, x: int) -> WeightedSet:
     [2, x] and the sieve applies verbatim.
     """
     Aa, Bb = distinct_ints(A, x // 2, "A"), distinct_ints(B, x // 2, "B")
-    return WeightedSet(x, _pair_counts(Aa, Bb, x))
+    return WeightedSet(_pair_counts(Aa, Bb, x))
 
 
 def difference_weights(A, x: int) -> WeightedSet:
     """w(n) = #{(a, a') in A^2 : a > a', a - a' = n}; sigma = C(|A|, 2)."""
     w = _pair_counts(distinct_ints(A, x, "A"), None, x)
     w[0] = 0
-    return WeightedSet(x, w)
+    return WeightedSet(w)
 
 
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
@@ -250,7 +246,7 @@ def theorem3_experiment(
     ws = sumset_weights(A, B, x)
     cov = coverage(lgset, cutoff, table)
     eps_working = cov.epsilon_prime / 2.0
-    rep = sieve_report(ws, part, lgset, gamma, table)
+    rep = sieve_report(ws, part, gamma)
 
     direct = int(rep.smooth_total)
 

@@ -216,7 +216,7 @@ def _random_weight_set(x, rng, kind):
         w[rng.sample(range(1, x + 1), x // 3)] = 1.0
     else:  # concentrated support: hypotheses typically fail
         w[rng.sample(range(1, 50), 10)] = 1.0
-    return WeightedSet(x, w)
+    return WeightedSet(w)
 
 
 def test_criterion_8_implication_suite(grid_sets, table100k):
@@ -228,7 +228,7 @@ def test_criterion_8_implication_suite(grid_sets, table100k):
     for trial in range(50):
         kind = 3 if trial % 12 == 11 else trial % 3
         ws = _random_weight_set(x, rng, kind)
-        rep = sieve_report(ws, part, s, 0.2, table100k)  # raises if sandwich fails
+        rep = sieve_report(ws, part, 0.2)  # raises if sandwich fails
         if rep.hyp1_holds and rep.hyp2_holds:
             hyps_true += 1
             if not rep.conclusion_holds:

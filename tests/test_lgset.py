@@ -468,7 +468,7 @@ def test_overlapping_set_has_no_divisor_map(table1k):
     w = np.zeros(101)
     w[55] = 1.0
     with pytest.raises(ValueError, match="not LG"):
-        sieve_report(WeightedSet(100, w), part, s, 0.2, table1k)
+        sieve_report(WeightedSet(w), part, 0.2)
 
 
 @pytest.mark.parametrize(

@@ -230,6 +230,12 @@ def test_is_smooth_examples(table1k):
     assert not is_smooth(97, 96.9, table1k)
 
 
+@pytest.mark.parametrize("y", [-3, 0.5, 0.999, 1, 1.5, 2, 10])
+def test_is_smooth_counts_agree_with_psi_count(table1k, y):
+    # n = 1 is y-smooth exactly when y >= 1, for both
+    assert psi_count(10, y, table1k) == sum(is_smooth(n, y, table1k) for n in range(1, 11))
+
+
 @given(st.integers(min_value=2, max_value=10**4))
 def test_smoothness_boundary(table10k, n):
     p = largest_prime_factor(n, table10k)

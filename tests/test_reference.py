@@ -1,17 +1,21 @@
-"""Every ``sweep`` row recomputed from the definitions.
+"""``sweep`` rows, ``theorem2`` reports and ``sumset`` fields
+recomputed from the definitions.
 
 The reference below reads no lgsieve code except ``powers``, whose
 integer boundaries have their own exact oracle and a pinned hash.  It
 finds the members by testing the chain conditions on every q <= x,
-chooses c by the tail sum, draws A and B as the CLI does, counts the
-pair sums by enumeration, and finds smoothness and each m's member
-divisor with its own sieve.  A row matches when every compared field
-is equal by ``repr``: the sums are ``math.fsum`` over the same doubles.
+chooses c by the tail sum, draws A, B and the weights as the CLI does,
+counts the pair sums by enumeration, and finds smoothness and each m's
+member divisor with its own sieve.  A field matches when it is equal by
+``repr``: the sums are ``math.fsum`` over the same doubles.
 """
 
 import csv
+import functools
+import json
 import math
 import random
+from collections import Counter, namedtuple
 
 import pytest
 
@@ -22,6 +26,11 @@ EPSILON = 0.2  # the CLI's default coverage target
 GAMMA = 0.2
 THETAS = [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 FIELDS = ["c", "smooth_count", "sigma_sum1", "deviation", "hyp1", "hyp2", "conclusion"]
+KINDS = ["uniform", "random-dense", "random-sparse", "indicator"]
+
+# factors[n]: the distinct primes of n, ascending; small: the members
+# below x^c; divisor[m]: the one member of small dividing m, or 0
+Reference = namedtuple("Reference", "x factors c small divisor")
 
 
 def _prime_factors(x):
@@ -48,55 +57,127 @@ def _is_member(q, x, delta, factors):
     return x < ps[-1] * q
 
 
-def _reference_rows(x, delta, size, seed):
+@functools.lru_cache(maxsize=None)
+def _reference_set(x, delta):
     factors = _prime_factors(x)
     members = [q for q in range(2, x + 1) if _is_member(q, x, delta, factors)]
 
     grid = [k / 100 for k in range(1, 101) if k / 100 > delta]
 
     def tail(c):  # the members q >= x^c
-        return math.fsum(1.0 / q for q in members if q > largest_int_below_pow(x, c))
+        bound = largest_int_below_pow(x, c)
+        return math.fsum(1.0 / q for q in members if q > bound)
 
     c = next((c for c in grid if tail(c) < EPSILON / 2), 1.0)
     small = [q for q in members if q <= largest_int_below_pow(x, c)]
 
-    rng = random.Random(seed)
-    domain = x // 2
-    A = rng.sample(range(1, domain + 1), min(size, domain))
-    B = rng.sample(range(1, domain + 1), min(size, domain))
-    w = [0] * (x + 1)
-    for a in A:
-        for b in B:
-            w[a + b] += 1
-    sigma = float(len(A) * len(B))
-
-    divisor = [0] * (x + 1)  # the one member below x^c dividing m, or 0
+    divisor = [0] * (x + 1)
     for q in small:
         for m in range(q, x + 1, q):
             assert divisor[m] == 0, f"{m} has two member divisors"
             divisor[m] = q
+    return Reference(x, factors, c, small, divisor)
 
+
+def _draw_sets(x, size_a, size_b, seed):
+    """A and B from {1..x/2}, as ``sweep`` and ``sumset`` draw them."""
+    rng = random.Random(seed)
+    domain = x // 2
+    A = rng.sample(range(1, domain + 1), min(size_a, domain))
+    B = rng.sample(range(1, domain + 1), min(size_b, domain))
+    return A, B
+
+
+def _pair_weights(x, A, B):
+    w = [0] * (x + 1)
+    for a in A:
+        for b in B:
+            w[a + b] += 1
+    return w
+
+
+def _theorem2_weights(kind, x, seed):
+    """The ``--weights`` kinds, drawing from one rng in the CLI's order."""
+    rng = random.Random(seed)
+    w = [0.0] * (x + 1)
+    if kind == "uniform":
+        w[1:] = [1.0] * x
+    elif kind == "random-dense":
+        w[1:] = [rng.random() for _ in range(x)]
+    elif kind == "random-sparse":
+        for m in rng.sample(range(1, x + 1), max(1, x // 5)):
+            w[m] = 1.0 + rng.random()
+    else:  # indicator of a random subset
+        for m in rng.sample(range(1, x + 1), max(1, x // 3)):
+            w[m] = 1.0
+    return w
+
+
+def _sieve_fields(ref, w, sigma, theta, gamma):
+    """Every field of the sieve report on weights w with total sigma."""
+    x, factors, divisor = ref.x, ref.factors, ref.divisor
+    y = floor_pow(x, theta)
+    smooth = {q for q in ref.small if factors[q][-1] <= y}
+    sum1 = math.fsum(1.0 / q for q in ref.small if q in smooth)
+    sum2 = math.fsum(1.0 / q for q in ref.small if q not in smooth)
+    lhs1 = math.fsum(w[m] for m in range(1, x + 1) if divisor[m] in smooth)
+    lhs2 = math.fsum(w[m] for m in range(1, x + 1) if divisor[m] and divisor[m] not in smooth)
+    # m = 1 has no prime factor, so it is y-smooth for every y >= 1
+    total = math.fsum(w[m] for m in range(1, x + 1) if not factors[m] or factors[m][-1] <= y)
+    center = sigma * sum1
+    bound = 2 * gamma * sigma
+    lower_bound = (1 - gamma) * sigma * sum1
+    return {
+        "sigma": sigma,
+        "sum1": sum1,
+        "sum2": sum2,
+        "lhs1": lhs1,
+        "lhs2": lhs2,
+        "hyp1_holds": lhs1 > (1 - gamma) * sigma * sum1,
+        "hyp2_holds": lhs2 > (1 - gamma) * sigma * sum2,
+        "smooth_total": total,
+        "center": center,
+        "bound": bound,
+        "lower_bound": lower_bound,
+        "tau": lhs2,
+        "conclusion_holds": abs(total - center) < bound,
+        "lower_bound_holds": total > lower_bound,
+    }
+
+
+def _reprs(doc):
+    """doc with every leaf replaced by its repr, so 1, 1.0 and True differ."""
+    if isinstance(doc, dict):
+        return {k: _reprs(v) for k, v in doc.items()}
+    return repr(doc)
+
+
+def _run_json(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _reference_rows(x, delta, size, seed):
+    ref = _reference_set(x, delta)
+    A, B = _draw_sets(x, size, size, seed)
+    w = _pair_weights(x, A, B)
+    sigma = float(len(A) * len(B))
     rows = []
     for theta in THETAS:
         if not delta < theta <= 1:
             continue
-        y = floor_pow(x, theta)
-        smooth = {q for q in small if factors[q][-1] <= y}
-        sum1 = math.fsum(1.0 / q for q in small if q in smooth)
-        sum2 = math.fsum(1.0 / q for q in small if q not in smooth)
-        lhs1 = float(sum(w[m] for m in range(x + 1) if divisor[m] in smooth))
-        lhs2 = float(sum(w[m] for m in range(x + 1) if divisor[m] and divisor[m] not in smooth))
-        count = sum(w[m] for m in range(1, x + 1) if not factors[m] or factors[m][-1] <= y)
-        center = sigma * sum1
+        f = _sieve_fields(ref, w, sigma, theta, GAMMA)
+        count = int(f["smooth_total"])
         rows.append({
             "theta": repr(theta),
-            "c": repr(c),
+            "c": repr(ref.c),
             "smooth_count": repr(count),
-            "sigma_sum1": repr(center),
-            "deviation": repr(count - center),
-            "hyp1": repr(lhs1 > (1 - GAMMA) * sigma * sum1),
-            "hyp2": repr(lhs2 > (1 - GAMMA) * sigma * sum2),
-            "conclusion": repr(abs(count - center) < 2 * GAMMA * sigma),
+            "sigma_sum1": repr(f["center"]),
+            "deviation": repr(count - f["center"]),
+            "hyp1": repr(f["hyp1_holds"]),
+            "hyp2": repr(f["hyp2_holds"]),
+            "conclusion": repr(f["conclusion_holds"]),
         })
     return rows
 
@@ -118,3 +199,81 @@ def test_sweep_rows_equal_their_definitions(tmp_path, x, delta, size, seed):
     expected = _reference_rows(x, delta, size, seed)
     assert len(expected) == sum(delta < t for t in THETAS)
     assert [{k: row[k] for k in ["theta", *FIELDS]} for row in got] == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "x, delta, theta, gamma, seed",
+    [
+        (1000, 0.1, 0.5, 0.2, 0),
+        (2003, 0.05, 0.35, 0.1, 1),
+        (3000, 0.2, 0.8, 0.3, 2),
+        (2048, 0.3, 1.0, 0.05, 3),
+    ],
+)
+def test_theorem2_report_equals_its_definitions(tmp_path, x, delta, theta, gamma, seed, kind):
+    doc = _run_json(tmp_path, [
+        "theorem2", "--x", str(x), "--delta", str(delta), "--theta", str(theta),
+        "--gamma", str(gamma), "--weights", kind, "--seed", str(seed),
+    ])
+    ref = _reference_set(x, delta)
+    w = _theorem2_weights(kind, x, seed)
+    params = {
+        "x": x, "delta": delta, "c": ref.c, "theta": theta, "gamma": gamma,
+        "weights": kind, "seed": seed,
+    }
+    assert _reprs(doc["params"]) == _reprs(params)
+    assert _reprs(doc["report"]) == _reprs(_sieve_fields(ref, w, math.fsum(w), theta, gamma))
+
+
+@pytest.mark.parametrize(
+    "x, delta, theta, gamma, size_a, size_b, seed",
+    [
+        (1000, 0.1, 0.5, 0.2, 60, 80, 0),
+        (2003, 0.05, 0.4, 0.1, 150, 120, 1),
+        (3000, 0.2, 0.7, 0.3, 300, 250, 2),
+        (2048, 0.3, 1.0, 0.05, 100, 100, 3),
+    ],
+)
+def test_sumset_fields_equal_their_definitions(
+    tmp_path, x, delta, theta, gamma, size_a, size_b, seed
+):
+    # the variance fields, the warnings and the rho fields are left out
+    doc = _run_json(tmp_path, [
+        "sumset", "--x", str(x), "--delta", str(delta), "--theta", str(theta),
+        "--gamma", str(gamma), "--size-a", str(size_a), "--size-b", str(size_b),
+        "--seed", str(seed),
+    ])
+    ref = _reference_set(x, delta)
+    A, B = _draw_sets(x, size_a, size_b, seed)
+    w = _pair_weights(x, A, B)
+    sigma = float(len(A) * len(B))
+    f = _sieve_fields(ref, w, sigma, theta, gamma)
+    count = int(f["smooth_total"])
+    fraction = count / sigma
+
+    def pairs(q):  # #{(a, b) : q | a + b}, from the residues alone
+        residues = Counter(a % q for a in A)
+        return sum(residues[-b % q] for b in B)
+
+    expected = {
+        "params": {
+            "x": x, "delta": delta, "c": ref.c, "theta": theta, "gamma": gamma,
+            "epsilon_working": (1.0 - math.fsum(1.0 / q for q in ref.small)) / 2.0,
+            "size_a": len(A), "size_b": len(B), "seed": seed,
+        },
+        "sums": {k: f[k] for k in ["sum1", "sum2", "sigma"]},
+        "hypotheses": {k: f[k] for k in ["lhs1", "lhs2", "hyp1_holds", "hyp2_holds"]},
+        "bounds": {k: f[k] for k in ["center", "bound", "lower_bound", "tau"]},
+        "direct": {
+            "smooth_count": count,
+            "fraction": fraction,
+            "deviation_from_sum1": fraction - f["sum1"],
+        },
+        "conclusion_holds": f["conclusion_holds"],
+        "residue_identity_ok": all(sum(w[q::q]) == pairs(q) for q in ref.small),
+    }
+    got = {k: doc[k] for k in ["params", "sums", "hypotheses", "bounds", "residue_identity_ok"]}
+    got["direct"] = {k: doc["direct"][k] for k in expected["direct"]}
+    got["conclusion_holds"] = doc["verdicts"]["conclusion_holds"]
+    assert _reprs(got) == _reprs(expected)

@@ -40,6 +40,13 @@ def test_partition_x100(set100, table1k):
     assert part.sum1 == math.fsum(1 / q for q in (11, 13, 35))
 
 
+def test_partition_keeps_its_set_and_table(set100, table1k):
+    # sieve_report reads both through the partition; the repr omits them
+    part = partition(set100, 0.6, table1k)
+    assert part.lgset is set100 and part.table is table1k
+    assert "lgset" not in repr(part) and "table" not in repr(part)
+
+
 def test_partition_theta_one(set100, table1k):
     part = partition(set100, 1.0, table1k)
     assert part.n2.tolist() == []
@@ -125,24 +132,24 @@ def test_weighted_set_validation():
     bad = np.zeros(11)
     bad[0] = 2.0
     with pytest.raises(ValueError):
-        WeightedSet(10, bad)
+        WeightedSet(bad)
     for w in (-1.0, math.inf, math.nan):
         dense = np.zeros(11)
         dense[3] = w
         with pytest.raises(ValueError):
-            WeightedSet(10, dense)
+            WeightedSet(dense)
     with pytest.raises(ValueError):
-        WeightedSet(10, np.zeros(10))  # length x, not x + 1
+        WeightedSet(np.zeros((2, 11)))  # not 1-D
     with pytest.raises(ValueError):
-        WeightedSet(0, np.zeros(1))
+        WeightedSet(np.zeros(1))  # x = 0
     with pytest.raises(ValueError):
-        WeightedSet(10, np.array([0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0]))
-    ints = WeightedSet(10, np.arange(11))
-    assert ints.sigma == 55 and ints.array.dtype.kind == "i"
-    assert WeightedSet(10, np.arange(11) % 2 == 1).sigma == 5
+        WeightedSet(np.array([0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0]))
+    ints = WeightedSet(np.arange(11))
+    assert ints.x == 10 and ints.sigma == 55 and ints.array.dtype.kind == "i"
+    assert WeightedSet(np.arange(11) % 2 == 1).sigma == 5
     w = np.zeros(11)
     w[[3, 7]] = [1.5, 2.5]
-    ws = WeightedSet(10, w)
+    ws = WeightedSet(w)
     assert ws.sigma == 4.0 and ws.array is w
 
 
@@ -150,7 +157,7 @@ def test_weighted_set_rejects_a_dict_without_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="dense weights must have length"):
-            WeightedSet(10**12, {3: 1.0})
+            WeightedSet({3: 1.0})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -163,9 +170,9 @@ def test_weighted_set_rejects_an_integer_total_past_int64():
     w[1:3] = 2**62
     for arr in (w, np.array([0, 2**63, 2**63], dtype=np.uint64)):
         with pytest.raises(ValueError, match="must total at most"):
-            WeightedSet(arr.size - 1, arr)
+            WeightedSet(arr)
     w[2] -= 1  # a total of exactly 2**63 - 1 passes
-    assert WeightedSet(10, w).sigma == float(2**63 - 1)
+    assert WeightedSet(w).sigma == float(2**63 - 1)
 
 
 CHUNK = 1 << 16
@@ -204,29 +211,29 @@ def test_sieve_report_unit_weights(set100, table1k):
     part = partition(set100, 0.6, table1k)
     w = np.ones(101)
     w[0] = 0
-    rep = sieve_report(WeightedSet(100, w), part, set100, 0.2, table1k)
+    rep = sieve_report(WeightedSet(w), part, 0.2)
     assert rep.lhs1 == sum(100 // q for q in part.n1)
     assert rep.lhs2 == rep.tau == sum(100 // q for q in part.n2)
 
 
 def test_sieve_report_indicator(set100, table1k):
     part = partition(set100, 0.6, table1k)
-    ws = WeightedSet(100, indicator(100, [35, 70]))
-    rep = sieve_report(ws, part, set100, 0.2, table1k)
+    ws = WeightedSet(indicator(100, [35, 70]))
+    rep = sieve_report(ws, part, 0.2)
     assert (rep.lhs1, rep.lhs2, rep.tau) == (2.0, 0.0, 0.0)
 
 
 def test_sieve_report_zero_weights(set100, table1k):
     part = partition(set100, 0.6, table1k)
-    rep = sieve_report(WeightedSet(100, np.zeros(101)), part, set100, 0.2, table1k)
+    rep = sieve_report(WeightedSet(np.zeros(101)), part, 0.2)
     assert (rep.sigma, rep.lhs1, rep.lhs2, rep.tau, rep.smooth_total) == (0.0,) * 5
 
 
 def test_sieve_report_bound_mismatch(set100, table1k):
     part = partition(set100, 0.6, table1k)
-    ws = WeightedSet(50, indicator(50, [35]))
+    ws = WeightedSet(indicator(50, [35]))
     with pytest.raises(ValueError, match="weight bound 50 != set bound 100"):
-        sieve_report(ws, part, set100, 0.2, table1k)
+        sieve_report(ws, part, 0.2)
 
 
 def divisor_sums_oracle(ws, part):
@@ -244,8 +251,8 @@ def divisor_sums_oracle(ws, part):
     return mass(part.n1), mass(part.n2)
 
 
-def assert_sieve_matches_oracle(ws, part, lgset, table):
-    rep = sieve_report(ws, part, lgset, 0.2, table)
+def assert_sieve_matches_oracle(ws, part):
+    rep = sieve_report(ws, part, 0.2)
     lhs1, lhs2 = divisor_sums_oracle(ws, part)
     assert rep.lhs1 == lhs1
     assert rep.lhs2 == rep.tau == lhs2
@@ -259,7 +266,7 @@ def test_sieve_report_matches_per_member_walk(request, table10k, which, cutoff, 
     s = request.getfixturevalue(which)
     part = partition(with_cutoff(s, cutoff), theta, table10k)
     ws = _make_weights(kind, s.params.x, random.Random(7))
-    assert_sieve_matches_oracle(ws, part, s, table10k)
+    assert_sieve_matches_oracle(ws, part)
 
 
 @settings(max_examples=40, deadline=None)
@@ -285,7 +292,7 @@ def test_sieve_report_matches_per_member_walk_property(
         w = rng.random(x + 1) * 10.0 ** rng.uniform(-5, 5, size=x + 1)
     w[rng.random(x + 1) >= density] = 0
     w[0] = 0
-    assert_sieve_matches_oracle(WeightedSet(x, w), part, s, table10k)
+    assert_sieve_matches_oracle(WeightedSet(w), part)
 
 
 def test_sumset_trivial():
@@ -343,7 +350,7 @@ def test_residue_convolution_identity_detects_moved_weight(table1k, seed):
     arr = ws.array.copy()
     arr[n] -= 1
     arr[n + 1] += 1
-    moved = WeightedSet(x, arr)
+    moved = WeightedSet(arr)
     assert moved.sigma == ws.sigma
     assert not residue_convolution_identity_ok(moved, A, B, moduli, lg)
 
@@ -365,7 +372,7 @@ def _moved_unit(ws, n):
     arr = ws.array.copy()
     arr[n] -= 1
     arr[n + 1] += 1
-    return WeightedSet(ws.x, arr)
+    return WeightedSet(arr)
 
 
 @settings(max_examples=60, deadline=None)
@@ -421,9 +428,9 @@ def test_residue_identity_accepts_sums_up_to_x(set100):
     # an element may pass x/2 as long as no sum exceeds x
     w = np.zeros(101, dtype=np.int64)
     w[99] = 1  # 1 + 98 = 9 * 11
-    assert residue_convolution_identity_ok(WeightedSet(100, w), [1], [98], [11, 13], set100)
+    assert residue_convolution_identity_ok(WeightedSet(w), [1], [98], [11, 13], set100)
     w[99], w[98] = 0, 1
-    assert not residue_convolution_identity_ok(WeightedSet(100, w), [1], [98], [11, 13], set100)
+    assert not residue_convolution_identity_ok(WeightedSet(w), [1], [98], [11, 13], set100)
 
 
 def test_residue_identity_rejects_bound_mismatch(set100, set10k):
@@ -614,8 +621,8 @@ def test_sieve_report_uniform_10k(set10k, table10k):
     part = partition(set10k, 0.5, table10k)
     w = np.ones(10**4 + 1)
     w[0] = 0
-    ws = WeightedSet(10**4, w)
-    rep = sieve_report(ws, part, set10k, 0.2, table10k)
+    ws = WeightedSet(w)
+    rep = sieve_report(ws, part, 0.2)
     assert rep.sigma == 10**4
     assert rep.hyp1_holds and rep.hyp2_holds
     assert rep.conclusion_holds
@@ -633,14 +640,14 @@ def test_sieve_report_smooth_total_at_integer_bound(table10k):
     assert part.y == 97.0
     w = np.ones(x + 1, dtype=np.int64)
     w[0] = 0
-    rep = sieve_report(WeightedSet(x, w), part, s, 0.2, table10k)
+    rep = sieve_report(WeightedSet(w), part, 0.2)
     assert rep.smooth_total == sum(is_smooth(m, 97.0, table10k) for m in range(1, x + 1))
 
 
 def test_sieve_report_degenerate_support(set100, table1k):
     part = partition(set100, 0.6, table1k)
-    ws = WeightedSet(100, indicator(100, [97]))  # a non-smooth member, so no n1 divisor
-    rep = sieve_report(ws, part, set100, 0.2, table1k)
+    ws = WeightedSet(indicator(100, [97]))  # a non-smooth member, so no n1 divisor
+    rep = sieve_report(ws, part, 0.2)
     assert rep.lhs1 == 0.0
     assert not rep.hyp1_holds
     assert rep.smooth_total == 0.0
@@ -648,9 +655,9 @@ def test_sieve_report_degenerate_support(set100, table1k):
 
 def test_sieve_report_gamma_range(set100, table1k):
     part = partition(set100, 0.6, table1k)
-    ws = WeightedSet(100, indicator(100, [2]))
+    ws = WeightedSet(indicator(100, [2]))
     with pytest.raises(ValueError):
-        sieve_report(ws, part, set100, 0.0, table1k)
+        sieve_report(ws, part, 0.0)
 
 
 def test_sandwich_random_trials(set10k, table10k):
@@ -660,8 +667,8 @@ def test_sandwich_random_trials(set10k, table10k):
         support = rng.sample(range(1, 10**4 + 1), 500)
         w = np.zeros(10**4 + 1)
         w[support] = [rng.random() for _ in support]
-        ws = WeightedSet(10**4, w)
-        rep = sieve_report(ws, part, set10k, 0.2, table10k)  # asserts sandwich
+        ws = WeightedSet(w)
+        rep = sieve_report(ws, part, 0.2)  # asserts sandwich
         assert rep.smooth_total <= rep.sigma - rep.tau + 1e-9
 
 
