@@ -1,9 +1,10 @@
 """Prime sieving, factorization, smoothness predicates and Psi(x, y).
 
-The smallest-prime-factor array is the backbone: it lists the primes
-that LG-set construction chains together and makes each factorization
-O(log m).  Tables are immutable after construction and safe for
-concurrent reads.
+A table holds the primes up to its limit, which LG-set construction
+chains together, and one factor array, the largest prime factor of each
+n, built when first read; every factor question reads it, and each
+factorization takes O(log m) lookups.  Tables are immutable after
+construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -43,37 +44,41 @@ def _exact_sum(values) -> float:
 
 
 class PrimeTable:
-    """Smallest-prime-factor table up to ``limit`` plus the prime list.
+    """The primes up to ``limit`` and their largest-prime-factor array.
 
-    ``smallest_factor[n]`` is the least prime dividing n (n >= 2); the
-    entries for 0 and 1 are 0.  ``primes`` is ascending and contains
-    exactly the n with smallest_factor[n] == n.
+    ``primes`` is ascending.  ``largest_factor_array()`` builds the one
+    factor array on its first call and keeps it.
     """
 
-    __slots__ = ("limit", "smallest_factor", "primes", "_largest_factor")
+    __slots__ = ("limit", "primes", "_largest_factor")
 
-    def __init__(self, limit: int, smallest_factor: np.ndarray, primes: np.ndarray):
+    def __init__(self, limit: int, primes: np.ndarray):
         self.limit = limit
-        self.smallest_factor = smallest_factor
         self.primes = primes
         self._largest_factor = None
 
     def largest_factor_array(self) -> np.ndarray:
         """Array of largest prime factors, built lazily; lpf[1] == 1.
 
-        lpf(n) = max(spf(n), lpf(n // spf(n))), and n // spf(n) <= n / 2,
-        so each block [lo, 2 lo) reads only the finished lpf[:lo]: about
-        log2(limit) vectorized steps on int32 temporaries of at most
-        limit / 2 + 1 entries.
+        Each prime p <= sqrt(limit), ascending, writes p at its multiples,
+        and each larger prime writes itself, so every n >= 2 holds some
+        prime factor q.  Then lpf(n) = max(q, lpf(n // q)) with
+        n // q <= n / 2, so each block [lo, 2 lo) reads only the finished
+        lpf[:lo]: about log2(limit) vectorized steps on int32 temporaries
+        of at most limit / 2 + 1 entries.
         """
         if self._largest_factor is None:
-            spf = self.smallest_factor
             lpf = np.zeros(self.limit + 1, dtype=np.int32)
+            small = self.primes[self.primes <= math.isqrt(self.limit)]
+            for p in small.tolist():
+                lpf[p::p] = p
+            big = self.primes[small.size :]
+            lpf[big] = big
             lpf[1] = 1
             lo = 2
             while lo <= self.limit:
                 hi = min(2 * lo, self.limit + 1)
-                p = spf[lo:hi]
+                p = lpf[lo:hi]
                 cofactor = np.arange(lo, hi, dtype=np.int32)
                 cofactor //= p
                 np.maximum(p, lpf[cofactor], out=lpf[lo:hi])
@@ -97,8 +102,7 @@ class Factorization:
 
 
 def _primes_up_to(n: int) -> np.ndarray:
-    """Ascending primes <= n by a boolean sieve; n is the square root of
-    a table limit, so this stays small."""
+    """Ascending primes <= n by a boolean sieve of n + 1 bytes."""
     is_prime = np.ones(n + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(n) + 1):
@@ -115,15 +119,8 @@ def build_prime_table(limit: int) -> PrimeTable:
         raise ValueError(error) from None
     if limit < 2:
         raise ValueError(error)
-    check_array_bytes(limit + 1, 4, "the prime table")  # and the lazy lpf array, same size
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    # descending, so at each composite n the write of its smallest prime
-    # factor p (p * p <= n) lands last
-    for p in _primes_up_to(math.isqrt(limit))[::-1].tolist():
-        spf[p * p :: p] = p
-    primes = np.flatnonzero(spf[2:] == 0) + 2  # the entries no smaller prime marked
-    spf[primes] = primes
-    return PrimeTable(limit, spf, primes)
+    check_array_bytes(limit + 1, 4, "the prime table")  # the lazy lpf array
+    return PrimeTable(limit, _primes_up_to(limit))
 
 
 def _int_in_range(name: str, value, low: int, high: int) -> int:
@@ -140,22 +137,24 @@ def _int_in_range(name: str, value, low: int, high: int) -> int:
 
 
 def factorize(n: int, table: PrimeTable) -> Factorization:
-    n = _int_in_range("n", n, 2, table.limit)
-    spf = table.smallest_factor
+    """The prime factorization of n, read off the table's lazy lpf array
+    largest factor first; the factors come back ascending."""
+    n = m = _int_in_range("n", n, 2, table.limit)
+    lpf = table.largest_factor_array()
     out = []
-    m = n
     while m > 1:
-        p = int(spf[m])
+        p = int(lpf[m])
         e = 0
         while m % p == 0:
             m //= p
             e += 1
         out.append((p, e))
-    return Factorization(n, tuple(out))
+    return Factorization(n, tuple(out[::-1]))
 
 
 def largest_prime_factor(n: int, table: PrimeTable) -> int:
-    return factorize(n, table).factors[-1][0]  # factors ascend
+    n = _int_in_range("n", n, 2, table.limit)
+    return int(table.largest_factor_array()[n])
 
 
 def is_smooth(n: int, y: float, table: PrimeTable) -> bool:
@@ -164,7 +163,7 @@ def is_smooth(n: int, y: float, table: PrimeTable) -> bool:
     n = _int_in_range("n", n, 1, table.limit)
     if y != y:  # nan, which compares False with every factor
         raise ValueError(f"smoothness bound y must not be nan, got {y}")
-    return (1 if n == 1 else largest_prime_factor(n, table)) <= y
+    return int(table.largest_factor_array()[n]) <= y
 
 
 def psi_count(x: int, y, table: PrimeTable):

@@ -35,6 +35,7 @@ from lgsieve import (
 from lgsieve.lgset import JSON_BLOCK, _multiple_blocks
 from lgsieve.powers import floor_pow, largest_int_below_pow
 from lgsieve.primes import INT32_MAX
+from test_primes import masked_ascending_spf
 
 EXPECTED_100 = sorted(
     [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 35]
@@ -268,10 +269,11 @@ def test_divisor_map_matches_walk_and_scan(table10k, x, delta):
             divisors_of[m].append(q)
     div = s.divisor_map()
     pmin = floor_pow(x, delta)
+    spf, _ = masked_ascending_spf(x)  # the test's own, not the table's
     for m in range(1, x + 1):
         assert len(divisors_of[m]) <= 1
         expected = divisors_of[m][0] if divisors_of[m] else None
-        assert walk_divisor(m, x, pmin, table10k.smallest_factor) == expected
+        assert walk_divisor(m, x, pmin, spf) == expected
         assert (int(div[m]) or None) == expected
 
 

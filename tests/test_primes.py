@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import lgsieve.primes as primes_module
 from lgsieve import (
+    PrimeTable,
     ResourceLimitError,
     build_prime_table,
     factorize,
@@ -61,27 +62,6 @@ def masked_ascending_spf(limit):
     return spf, primes
 
 
-def assert_table_matches_masked_loop(limit):
-    t = build_prime_table(limit)
-    spf, primes = masked_ascending_spf(limit)
-    assert t.limit == limit
-    assert t.smallest_factor.dtype == np.int32
-    assert np.array_equal(t.smallest_factor, spf), limit
-    assert np.array_equal(t.primes, primes), limit
-
-
-def test_table_matches_masked_loop_every_limit_to_3000():
-    for limit in range(2, 3001):
-        assert_table_matches_masked_loop(limit)
-
-
-@pytest.mark.parametrize("p", simple_prime_sieve(100))
-def test_table_matches_masked_loop_around_prime_squares(p):
-    for limit in (p * p - 1, p * p, p * p + 1):
-        if limit >= 2:
-            assert_table_matches_masked_loop(limit)
-
-
 def largest_factor_by_slices(limit):
     """Oracle: one strided write per prime, ascending, so the largest
     prime factor's write lands last."""
@@ -92,13 +72,31 @@ def largest_factor_by_slices(limit):
     return lpf
 
 
-def test_largest_factor_array_matches_slices_every_limit_to_3000():
-    # lpf(n) does not depend on the limit, so one oracle serves every prefix
+def assert_table_matches_masked_loop(limit, lpf_oracle):
+    """The table's primes are the oracle's, and its lazy lpf array is
+    ``lpf_oracle`` (lpf(n) does not depend on the limit) up to ``limit``."""
+    t = build_prime_table(limit)
+    _, primes = masked_ascending_spf(limit)
+    assert t.limit == limit
+    assert np.array_equal(t.primes, primes), limit
+    lpf = t.largest_factor_array()
+    assert lpf.dtype == np.int32
+    assert np.array_equal(lpf, lpf_oracle[: limit + 1]), limit
+
+
+def test_table_matches_masked_loop_every_limit_to_3000():
     oracle = largest_factor_by_slices(3000)
     for limit in range(2, 3001):
-        lpf = build_prime_table(limit).largest_factor_array()
-        assert lpf.dtype == np.int32
-        assert np.array_equal(lpf, oracle[: limit + 1]), limit
+        assert_table_matches_masked_loop(limit, oracle)
+
+
+@pytest.mark.parametrize("p", simple_prime_sieve(100))
+def test_table_matches_masked_loop_around_prime_squares(p):
+    # the lpf build splits the primes at sqrt(limit), which moves here
+    oracle = largest_factor_by_slices(p * p + 1)
+    for limit in (p * p - 1, p * p, p * p + 1):
+        if limit >= 2:
+            assert_table_matches_masked_loop(limit, oracle)
 
 
 def test_largest_factor_array_matches_slices_around_prime_powers():
@@ -135,7 +133,7 @@ def test_first_primes():
 def test_smallest_valid_table():
     t = build_prime_table(2)
     assert list(t.primes) == [2]
-    assert t.smallest_factor[2] == 2
+    assert t.largest_factor_array()[2] == 2
 
 
 def test_limit_too_small():
@@ -177,14 +175,32 @@ def test_prime_count_1e6_against_independent_sieve():
     assert list(build_prime_table(10**4).primes) == simple_prime_sieve(10**4)
 
 
-def test_smallest_factor_invariants(table10k):
-    spf = table10k.smallest_factor
+def test_largest_factor_invariants(table10k):
+    lpf = table10k.largest_factor_array()
     primes = set(int(p) for p in table10k.primes)
     for n in range(2, 10**4 + 1):
-        p = int(spf[n])
+        p = int(lpf[n])
         assert n % p == 0
         assert p in primes
         assert (p == n) == (n in primes)
+        assert lpf[n // p] <= p
+
+
+def _arrays(table):
+    return [getattr(table, name) for name in PrimeTable.__slots__
+            if isinstance(getattr(table, name), np.ndarray)]
+
+
+def test_table_builds_its_one_factor_array_when_read():
+    # no array of limit or more entries until the lpf array is read, and
+    # then exactly that one int32 array of limit + 1 entries
+    limit = 10**6
+    t = build_prime_table(limit)
+    assert all(a.size < limit for a in _arrays(t))
+    lpf = t.largest_factor_array()
+    big = [a for a in _arrays(t) if a.size >= limit]
+    assert len(big) == 1 and big[0] is lpf
+    assert lpf.dtype == np.int32 and lpf.size == limit + 1
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
-"""``sweep`` rows, ``theorem2`` reports and ``sumset`` fields
-recomputed from the definitions.
+"""``sweep`` rows, ``theorem2`` reports, ``sumset`` fields and
+``sieve-check`` tables recomputed from the definitions.
 
 The reference below reads no lgsieve code except ``powers``, whose
 integer boundaries have their own exact oracle and a pinned hash.  It
 finds the members by testing the chain conditions on every q <= x,
 chooses c by the tail sum, draws A, B and the weights as the CLI does,
-counts the pair sums by enumeration, and finds smoothness and each m's
-member divisor with its own sieve.  A field matches when it is equal by
+counts the pair sums by enumeration, finds smoothness and each m's
+member divisor with its own sieve, and takes each residue variance from
+the residue counts of the test set.  A field matches when it is equal by
 ``repr``: the sums are ``math.fsum`` over the same doubles.
 """
 
@@ -20,7 +21,7 @@ from collections import Counter, namedtuple
 import pytest
 
 from lgsieve.cli import main
-from lgsieve.powers import floor_pow, largest_int_below_pow
+from lgsieve.powers import floor_pow, largest_int_below_pow, real_pow
 
 EPSILON = 0.2  # the CLI's default coverage target
 GAMMA = 0.2
@@ -145,6 +146,21 @@ def _sieve_fields(ref, w, sigma, theta, gamma):
     }
 
 
+def _variance(ref, C):
+    """([(q, sum_sq, contribution)] over the moduli, and their lhs) of a
+    test set C: sum_sq = sum_a C(a, q)^2 from C's residue counts mod q."""
+    size = len(C)
+    rows = []
+    for q in ref.small:
+        sum_sq = sum(n * n for n in Counter(c % q for c in C).values())
+        rows.append((q, sum_sq, sum_sq - size * size / q))
+    return rows, math.fsum(row[2] for row in rows)
+
+
+def _epsilon_prime(ref):
+    return 1.0 - math.fsum(1.0 / q for q in ref.small)
+
+
 def _reprs(doc):
     """doc with every leaf replaced by its repr, so 1, 1.0 and True differ."""
     if isinstance(doc, dict):
@@ -238,7 +254,7 @@ def test_theorem2_report_equals_its_definitions(tmp_path, x, delta, theta, gamma
 def test_sumset_fields_equal_their_definitions(
     tmp_path, x, delta, theta, gamma, size_a, size_b, seed
 ):
-    # the variance fields, the warnings and the rho fields are left out
+    # the three rho fields are left out
     doc = _run_json(tmp_path, [
         "sumset", "--x", str(x), "--delta", str(delta), "--theta", str(theta),
         "--gamma", str(gamma), "--size-a", str(size_a), "--size-b", str(size_b),
@@ -256,10 +272,25 @@ def test_sumset_fields_equal_their_definitions(
         residues = Counter(a % q for a in A)
         return sum(residues[-b % q] for b in B)
 
+    eps = _epsilon_prime(ref) / 2.0
+    _, lhs_a = _variance(ref, A)
+    _, lhs_b = _variance(ref, B)
+    floor = real_pow(x, ref.c) / eps
+    size_ok = min(len(A), len(B)) > floor
+    # N2, the members below x^c that are not x^theta-smooth, is empty
+    # exactly when sum2 is the empty sum
+    cap = gamma / 12.0 * min(f["sum1"], f["sum2"]) if f["sum2"] else math.inf
+    warnings = []
+    if not size_ok:
+        warnings.append(f"size condition unmet: need |A|,|B| > {floor:.1f}, "
+                        f"got {len(A)}, {len(B)}")
+    if eps >= cap:
+        warnings.append(f"working epsilon {eps:.4g} not below gamma/12 * min(sum1,sum2)"
+                        f" = {cap:.4g}")
     expected = {
         "params": {
             "x": x, "delta": delta, "c": ref.c, "theta": theta, "gamma": gamma,
-            "epsilon_working": (1.0 - math.fsum(1.0 / q for q in ref.small)) / 2.0,
+            "epsilon_working": eps,
             "size_a": len(A), "size_b": len(B), "seed": seed,
         },
         "sums": {k: f[k] for k in ["sum1", "sum2", "sigma"]},
@@ -271,9 +302,59 @@ def test_sumset_fields_equal_their_definitions(
             "deviation_from_sum1": fraction - f["sum1"],
         },
         "conclusion_holds": f["conclusion_holds"],
+        "variance": {
+            "lhs_a": lhs_a,
+            "lhs_b": lhs_b,
+            "cauchy_schwarz_cross_term": math.sqrt(max(lhs_a, 0.0) * max(lhs_b, 0.0)),
+            "cross_term_cap": 3.0 * eps * len(A) * len(B),
+            "size_condition_ok": size_ok,
+        },
         "residue_identity_ok": all(sum(w[q::q]) == pairs(q) for q in ref.small),
+        "warnings": warnings,
     }
-    got = {k: doc[k] for k in ["params", "sums", "hypotheses", "bounds", "residue_identity_ok"]}
+    got = {k: doc[k] for k in [
+        "params", "sums", "hypotheses", "bounds", "variance", "residue_identity_ok", "warnings",
+    ]}
     got["direct"] = {k: doc["direct"][k] for k in expected["direct"]}
     got["conclusion_holds"] = doc["verdicts"]["conclusion_holds"]
     assert _reprs(got) == _reprs(expected)
+
+
+@pytest.mark.parametrize(
+    "x, delta, size, trials, seed",
+    [
+        (1000, 0.1, 200, 3, 0),
+        (2003, 0.05, 300, 1, 1),
+        (3000, 0.2, 400, 2, 2),
+        (2048, 0.3, 2048, 1, 3),  # C is all of [1, x]
+    ],
+)
+def test_sieve_check_tables_equal_their_definitions(tmp_path, x, delta, size, trials, seed):
+    out = tmp_path / "var.csv"
+    code = main([
+        "sieve-check", "--x", str(x), "--delta", str(delta), "--size", str(size),
+        "--trials", str(trials), "--seed", str(seed), "--out", str(out),
+    ])
+    ref = _reference_set(x, delta)
+    eps_prime = _epsilon_prime(ref)
+    eps = eps_prime / 2.0
+    xc = real_pow(x, ref.c)
+    rng = random.Random(seed)
+    ok = True
+    lines = ["trial,seed,lhs,rhs,rhs_exact,pair_sum,bound_holds,exact_bound_holds"]
+    for t in range(trials):
+        C = rng.sample(range(1, x + 1), min(size, x))
+        rows, lhs = _variance(ref, C)
+        n = len(C)
+        rhs = n * (2.0 * eps * n + xc)
+        rhs_exact = n * (xc + eps_prime * n)
+        pair_sum = sum(sum_sq - n for _, sum_sq, _ in rows)  # ordered pairs c != c'
+        ok = ok and lhs < rhs and lhs < rhs_exact and pair_sum <= n * (n - 1)
+        lines.append(f"{t},{seed},{lhs!r},{rhs!r},{rhs_exact!r},{pair_sum},"
+                     f"{lhs < rhs},{lhs < rhs_exact}")
+    if trials == 1:
+        lines = ["q,sum_sq,contribution"]
+        lines += [f"{q},{sum_sq},{contribution!r}" for q, sum_sq, contribution in rows]
+        lines.append(f"total,{sum(row[1] for row in rows)},{lhs!r}")
+    assert code == (0 if ok else 1)
+    assert out.read_text().splitlines() == lines
