@@ -72,22 +72,23 @@ def largest_factor_by_slices(limit):
     return lpf
 
 
-def assert_table_matches_masked_loop(limit, lpf_oracle):
-    """The table's primes are the oracle's, and its lazy lpf array is
-    ``lpf_oracle`` (lpf(n) does not depend on the limit) up to ``limit``."""
+def assert_table_matches_masked_loop(limit, lpf_oracle=None):
+    """The table's primes are the oracle's, and, given ``lpf_oracle``, its
+    lazy lpf array is that oracle (lpf(n) does not depend on the limit) up
+    to ``limit``."""
     t = build_prime_table(limit)
     _, primes = masked_ascending_spf(limit)
     assert t.limit == limit
     assert np.array_equal(t.primes, primes), limit
-    lpf = t.largest_factor_array()
-    assert lpf.dtype == np.int32
-    assert np.array_equal(lpf, lpf_oracle[: limit + 1]), limit
+    if lpf_oracle is not None:
+        lpf = t.largest_factor_array()
+        assert lpf.dtype == np.int32
+        assert np.array_equal(lpf, lpf_oracle[: limit + 1]), limit
 
 
 def test_table_matches_masked_loop_every_limit_to_3000():
-    oracle = largest_factor_by_slices(3000)
     for limit in range(2, 3001):
-        assert_table_matches_masked_loop(limit, oracle)
+        assert_table_matches_masked_loop(limit)
 
 
 @pytest.mark.parametrize("p", simple_prime_sieve(100))
@@ -97,6 +98,15 @@ def test_table_matches_masked_loop_around_prime_squares(p):
     for limit in (p * p - 1, p * p, p * p + 1):
         if limit >= 2:
             assert_table_matches_masked_loop(limit, oracle)
+
+
+def test_largest_factor_array_matches_slices_every_limit_to_3000():
+    # lpf(n) does not depend on the limit, so one oracle serves every prefix
+    oracle = largest_factor_by_slices(3000)
+    for limit in range(2, 3001):
+        lpf = build_prime_table(limit).largest_factor_array()
+        assert lpf.dtype == np.int32
+        assert np.array_equal(lpf, oracle[: limit + 1]), limit
 
 
 def test_largest_factor_array_matches_slices_around_prime_powers():
