@@ -340,7 +340,15 @@ def choose_cutoff(lgset: LGSet, epsilon: float) -> float:
     float guesses of each grid point's count_below, gives a guess at
     the first point that passes; the exact test then walks up from it
     while it fails or, if the guess passes, down while the point before
-    passes, so the answer is the exact one, usually after two fsums.
+    passes, so the answer is the exact one, usually after two tests.
+
+    Each test first reads the point's float tail t over j terms.  Any
+    order of summing j positive terms errs by at most gamma_(j-1) times
+    their sum (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 4.2), which err = 4 j 2^-53 t covers together with the
+    rounding of t - err and t + err.  So t - err >= epsilon/2 fails the
+    point and t + err below the double under epsilon/2 passes it, as
+    the fsum would; only inside that band does the fsum decide.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon out of (0,1): {epsilon}")
@@ -349,11 +357,21 @@ def choose_cutoff(lgset: LGSet, epsilon: float) -> float:
     grid = [k for k in range(int(math.floor(delta * 100)) + 1, 101) if k / 100.0 > delta]
     recips = 1.0 / qs  # the doubles 1.0 / q
 
-    def passes(i: int) -> bool:
-        return _exact_sum(recips[lgset.count_below(grid[i] / 100.0) :]) < half
-
     # tails[j] ~ the sum of the last j reciprocals
     tails = np.concatenate(([0.0], np.cumsum(recips[::-1])))
+    below_half = math.nextafter(half, 0.0)
+
+    def passes(i: int) -> bool:
+        k = lgset.count_below(grid[i] / 100.0)
+        j = qs.size - k
+        t = float(tails[j])
+        err = 4.0 * j * 2.0**-53 * t  # >= the float tail's error, see above
+        if t - err >= half:
+            return False
+        if t + err < below_half:
+            return True
+        return _exact_sum(recips[k:]) < half
+
     bounds = np.ceil(np.minimum(float(x) ** (np.array(grid) / 100.0), x))
     starts = qs.searchsorted(bounds.astype(qs.dtype))  # ~ count_below at each point
     # the float tails never grow along the grid, so the points that fail come first

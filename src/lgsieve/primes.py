@@ -102,13 +102,22 @@ class Factorization:
 
 
 def _primes_up_to(n: int) -> np.ndarray:
-    """Ascending primes <= n by a boolean sieve of n + 1 bytes."""
-    is_prime = np.ones(n + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime)
+    """Ascending primes <= n, for n >= 2, by a boolean sieve over the odd
+    numbers only: (n + 1) // 2 bytes, entry i standing for 2i + 1.
+
+    Entry 0 (the number 1) stays set, so its output slot can take the
+    prime 2 in place, and the primes are built in one array.
+    """
+    sieve = np.ones((n + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(n) - 1) // 2 + 1):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = False
+    primes = np.flatnonzero(sieve)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def build_prime_table(limit: int) -> PrimeTable:

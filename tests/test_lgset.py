@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lgsieve.lgset as lgset_module
 from lgsieve import (
     LGParams,
     LGSet,
@@ -34,7 +35,7 @@ from lgsieve import (
 )
 from lgsieve.lgset import JSON_BLOCK, _multiple_blocks
 from lgsieve.powers import floor_pow, largest_int_below_pow
-from lgsieve.primes import INT32_MAX
+from lgsieve.primes import INT32_MAX, _exact_sum
 from test_primes import masked_ascending_spf
 
 EXPECTED_100 = sorted(
@@ -713,19 +714,71 @@ def test_choose_cutoff_on_exact_grid_tails(x, delta, data):
         assert choose_cutoff(s, epsilon) == _choose_cutoff_linear(s, epsilon), half
 
 
+@pytest.fixture
+def exact_sum_calls(monkeypatch):
+    """The sizes of the arrays choose_cutoff hands the correctly rounded sum."""
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return _exact_sum(values)
+
+    monkeypatch.setattr(lgset_module, "_exact_sum", counted)
+    return calls
+
+
 @pytest.mark.parametrize("x, delta", [(10**4, 0.05), (10**5, 0.05), (9973, 0.2)])
-def test_choose_cutoff_on_every_grid_tail_of_a_built_set(table100k, x, delta):
+def test_choose_cutoff_on_every_grid_tail_of_a_built_set(table100k, x, delta, exact_sum_calls):
+    # epsilon/2 within a few ulps of a grid tail lies inside the float
+    # tail's error band, so the exact sum must decide at least one point
     s = construct(LGParams(x, delta), table100k)
     for tail in _grid_tails(s):
         for half in (math.nextafter(tail, 0.0), tail, math.nextafter(tail, 1.0)):
             epsilon = 2.0 * half
+            exact_sum_calls.clear()
             assert choose_cutoff(s, epsilon) == _choose_cutoff_linear(s, epsilon), half
+            assert exact_sum_calls, half
 
 
 def test_choose_cutoff_regression_100k(table100k):
     # frozen after a one-off tail-sum sweep over the constructed set
     s = construct(LGParams(10**5, 0.05), table100k)
     assert choose_cutoff(s, 0.2) == 0.93
+
+
+@pytest.mark.parametrize("x", [10**5, 3 * 10**6])
+def test_choose_cutoff_settles_far_tails_without_exact_sums(x, exact_sum_calls):
+    # the paper's set-up: both points the walk tests have float tails far
+    # from epsilon/2 = 0.1 beside their error bounds
+    s = construct(LGParams(x, 0.05), build_prime_table(x))
+    assert choose_cutoff(s, 0.2) == 0.93
+    assert exact_sum_calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=2 * 10**4),
+    wide=st.booleans(),
+    data=st.data(),
+)
+def test_float_tail_error_within_its_bound(seed, n, wide, data):
+    # choose_cutoff's float tails, over 1.0 / q for ascending q in
+    # [2, 2^31 - 1], stay within 4 j 2^-53 of the correctly rounded sum
+    # of their last j terms; wide draws q log-uniformly, so the terms
+    # span nine decades
+    rng = np.random.default_rng(seed)
+    if wide:
+        q = np.exp(rng.uniform(math.log(2), math.log(INT32_MAX), n)).astype(np.int64)
+        q = np.clip(q, 2, INT32_MAX)
+    else:
+        q = rng.integers(2, INT32_MAX, n, endpoint=True)
+    recips = 1.0 / np.sort(q)
+    tails = np.concatenate(([0.0], np.cumsum(recips[::-1])))  # as choose_cutoff sums them
+    js = data.draw(st.lists(st.integers(min_value=0, max_value=n), max_size=8)) + [1, n]
+    for j in js:
+        exact = math.fsum(recips[n - j :])
+        assert abs(tails[j] - exact) <= 4 * j * 2.0**-53 * tails[j], j
 
 
 def test_coverage_improves_as_delta_shrinks(table100k):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,21 @@ def test_table_builds_its_one_factor_array_when_read():
     big = [a for a in _arrays(t) if a.size >= limit]
     assert len(big) == 1 and big[0] is lpf
     assert lpf.dtype == np.int32 and lpf.size == limit + 1
+
+
+def test_table_build_peak_is_the_odd_sieve_and_one_primes_array():
+    # one byte per odd number, and the primes built once, in place: a
+    # sieve of limit + 1 bytes, or a second primes array, breaks the cap
+    limit = 10**6
+    cap = (limit + 1) // 2 + 8 * (78498 + 1) + 64 * 1024
+    tracemalloc.start()
+    try:
+        t = build_prime_table(limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.primes.size == 78498
+    assert peak <= cap, (peak, cap)
 
 
 @pytest.mark.parametrize(

@@ -328,3 +328,11 @@ def test_exact_sum_makes_no_list():
     names = _names_reached("primes.py", "_exact_sum")
     assert {"fsum", "memoryview"} <= names  # the walk does see the body
     assert not names & {"tolist", "split", "chain"}
+
+
+def test_choose_cutoff_keeps_the_exact_sum_arbiter():
+    # the float tail settles only the points its error bound decides;
+    # the rest must still reach the correctly rounded sum
+    names = _names_reached("lgset.py", "choose_cutoff")
+    assert {"count_below", "cumsum"} <= names  # the walk does see the body
+    assert "_exact_sum" in names
