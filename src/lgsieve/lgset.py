@@ -17,6 +17,7 @@ keep every product below 2**62.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import json
 import math
@@ -332,15 +333,11 @@ def coverage(lgset: LGSet, cutoff_exponent: float, table: PrimeTable) -> Coverag
 
 def choose_cutoff(lgset: LGSet, epsilon: float) -> float:
     """Smallest c on the 0.01 grid in (delta, 1] whose tail harmonic
-    sum over members >= x^c stays below epsilon/2.
+    sum over members >= x^c stays below epsilon/2, or 1.0 if none does.
 
     The tail is a correctly rounded fsum over a shrinking suffix of
     positive terms, so the test "tail < epsilon/2" is monotone along
-    the grid.  One float cumsum of the reversed reciprocals, read at
-    float guesses of each grid point's count_below, gives a guess at
-    the first point that passes; the exact test then walks up from it
-    while it fails or, if the guess passes, down while the point before
-    passes, so the answer is the exact one, usually after two tests.
+    the grid, and bisection finds the first point that passes.
 
     Each test first reads the point's float tail t over j terms.  Any
     order of summing j positive terms errs by at most gamma_(j-1) times
@@ -352,35 +349,23 @@ def choose_cutoff(lgset: LGSet, epsilon: float) -> float:
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon out of (0,1): {epsilon}")
-    x, delta = lgset.params.x, lgset.params.delta
-    qs, half = lgset.qs, epsilon / 2.0
-    grid = [k for k in range(int(math.floor(delta * 100)) + 1, 101) if k / 100.0 > delta]
-    recips = 1.0 / qs  # the doubles 1.0 / q
-
-    # tails[j] ~ the sum of the last j reciprocals
-    tails = np.concatenate(([0.0], np.cumsum(recips[::-1])))
+    delta = lgset.params.delta
+    half = epsilon / 2.0
     below_half = math.nextafter(half, 0.0)
+    grid = [k for k in range(int(math.floor(delta * 100)) + 1, 101) if k / 100.0 > delta]
+    recips = 1.0 / lgset.qs  # the doubles 1.0 / q
 
-    def passes(i: int) -> bool:
-        k = lgset.count_below(grid[i] / 100.0)
-        j = qs.size - k
-        t = float(tails[j])
-        err = 4.0 * j * 2.0**-53 * t  # >= the float tail's error, see above
+    def passes(k: int) -> bool:
+        tail = recips[lgset.count_below(k / 100.0) :]
+        t = float(tail.sum())
+        err = 4.0 * tail.size * 2.0**-53 * t  # >= the float tail's error, see above
         if t - err >= half:
             return False
         if t + err < below_half:
             return True
-        return _exact_sum(recips[k:]) < half
+        return _exact_sum(tail) < half
 
-    bounds = np.ceil(np.minimum(float(x) ** (np.array(grid) / 100.0), x))
-    starts = qs.searchsorted(bounds.astype(qs.dtype))  # ~ count_below at each point
-    # the float tails never grow along the grid, so the points that fail come first
-    guess = i = int(np.count_nonzero(tails[qs.size - starts] >= half))
-    while i < len(grid) and not passes(i):
-        i += 1
-    if i == guess:  # after a step up, the point before i is known to fail
-        while i > 0 and passes(i - 1):
-            i -= 1
+    i = bisect.bisect_left(grid, True, key=passes)
     return grid[i] / 100.0 if i < len(grid) else 1.0
 
 

@@ -659,6 +659,12 @@ def _choose_cutoff_linear(lgset, epsilon):
         (3000, 0.29, None, 0.2),  # delta * 100 rounds below 29
         # no c passes: the tail at c = 1.0 is 1/x >= epsilon/2, so 1.0 is the fallback
         (10, 0.1, [10], 0.1),
+        # the grid is {1.00}: its one point passes, then fails to the fallback
+        (10**4, 0.995, None, 0.2),
+        (10, 0.995, [10], 0.1),
+        # the grid is {0.99, 1.00}: the tail at 0.99 is about 0.0104
+        (10**4, 0.985, None, 0.2),
+        (10**4, 0.985, None, 0.01),
     ],
 )
 def test_choose_cutoff_matches_linear_scan(table10k, x, delta, members, epsilon):
@@ -701,8 +707,8 @@ def _grid_tails(s):
 )
 def test_choose_cutoff_on_exact_grid_tails(x, delta, data):
     # epsilon/2 set to a grid point's exact tail and to its neighbouring
-    # doubles, where the float cumsum's guess can fall on the wrong side
-    # of the exact test and must be walked back to the oracle's answer
+    # doubles, where a bisection step lands inside the float tail's error
+    # band and only the exact test keeps it on the oracle's side
     members = data.draw(st.sets(st.integers(min_value=2, max_value=x), max_size=400))
     s = LGSet(LGParams(x, delta), members)
     tails = _grid_tails(s)
@@ -748,8 +754,8 @@ def test_choose_cutoff_regression_100k(table100k):
 
 @pytest.mark.parametrize("x", [10**5, 3 * 10**6])
 def test_choose_cutoff_settles_far_tails_without_exact_sums(x, exact_sum_calls):
-    # the paper's set-up: both points the walk tests have float tails far
-    # from epsilon/2 = 0.1 beside their error bounds
+    # the paper's set-up: every point the bisection tests has a float
+    # tail far from epsilon/2 = 0.1 beside its error bound
     s = construct(LGParams(x, 0.05), build_prime_table(x))
     assert choose_cutoff(s, 0.2) == 0.93
     assert exact_sum_calls == []
@@ -763,9 +769,9 @@ def test_choose_cutoff_settles_far_tails_without_exact_sums(x, exact_sum_calls):
     data=st.data(),
 )
 def test_float_tail_error_within_its_bound(seed, n, wide, data):
-    # choose_cutoff's float tails, over 1.0 / q for ascending q in
-    # [2, 2^31 - 1], stay within 4 j 2^-53 of the correctly rounded sum
-    # of their last j terms; wide draws q log-uniformly, so the terms
+    # choose_cutoff's float tails, numpy's sums of the last j of 1.0 / q
+    # for ascending q in [2, 2^31 - 1], stay within 4 j 2^-53 of their
+    # correctly rounded sums; wide draws q log-uniformly, so the terms
     # span nine decades
     rng = np.random.default_rng(seed)
     if wide:
@@ -774,11 +780,11 @@ def test_float_tail_error_within_its_bound(seed, n, wide, data):
     else:
         q = rng.integers(2, INT32_MAX, n, endpoint=True)
     recips = 1.0 / np.sort(q)
-    tails = np.concatenate(([0.0], np.cumsum(recips[::-1])))  # as choose_cutoff sums them
     js = data.draw(st.lists(st.integers(min_value=0, max_value=n), max_size=8)) + [1, n]
     for j in js:
+        t = float(recips[n - j :].sum())  # as choose_cutoff sums them
         exact = math.fsum(recips[n - j :])
-        assert abs(tails[j] - exact) <= 4 * j * 2.0**-53 * tails[j], j
+        assert abs(t - exact) <= 4 * j * 2.0**-53 * t, j
 
 
 def test_coverage_improves_as_delta_shrinks(table100k):

@@ -334,5 +334,45 @@ def test_choose_cutoff_keeps_the_exact_sum_arbiter():
     # the float tail settles only the points its error bound decides;
     # the rest must still reach the correctly rounded sum
     names = _names_reached("lgset.py", "choose_cutoff")
-    assert {"count_below", "cumsum"} <= names  # the walk does see the body
+    assert {"count_below", "bisect_left"} <= names  # the walk does see the body
     assert "_exact_sum" in names
+
+
+def _powers(tree):
+    """(qualified enclosing name, line) of every ``**`` whose base is not a
+    numeric literal, and of every pow, math.pow or np.power call."""
+    found = []
+
+    def literal(node):
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and not literal(node.left)
+            or isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow)
+            or isinstance(node, ast.Call) and {
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            } & {"pow", "power", "float_power"}
+        ):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_powers_of_x_only_in_powers():
+    # one owner of x^e: every threshold power comes from powers.py, whose
+    # 50-digit evaluation places the integer boundary exactly
+    found = {
+        (path.name, scope, line)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "powers.py"
+        for scope, line in _powers(ast.parse(path.read_text(), str(path)))
+    }
+    # the one integer power: a factorization's p^e, exact in Python ints
+    (allowed,) = [f for f in found if f[:2] == ("primes.py", "Factorization.product")]
+    assert found - {allowed} == set()
