@@ -134,12 +134,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--size-a", type=_positive_int, required=True)
     p.add_argument("--size-b", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--lg-at-2x",
-        action="store_true",
-        help="build the LG set at bound 2x and sample A, B from {1..x} "
-        "instead of restricting A, B to {1..x/2}",
-    )
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("sweep", help="sumset experiment over a theta grid, CSV output")
@@ -152,14 +146,16 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    if args.command != "dickman" and not args.set_path:
-        if args.x is None or args.delta is None:
+    if args.command != "dickman":
+        if args.set_path and (args.x is not None or args.delta is not None):
+            parser.error(f"{args.command}: --set takes neither --x nor --delta")
+        if not args.set_path and (args.x is None or args.delta is None):
             parser.error(f"{args.command}: need --set or both --x and --delta")
     return args
 
 
-def _load_or_build(args, x=None):
-    """(set, prime table): the set built at bound x (default --x) and its
+def _load_or_build(args):
+    """(set, prime table): the set built from --x and --delta and its
     table, or the set from --set and None, since build, verify, coverage
     and sieve-check read none."""
     if args.set_path:
@@ -167,21 +163,12 @@ def _load_or_build(args, x=None):
         if args.c is not None:
             s = lg.with_cutoff(s, args.c)
         return s, None
-    x = x or args.x
     # LGParams checks delta < c before the table is built
-    params = lg.LGParams(x, args.delta, args.c or 1.0)
-    table = build_prime_table(x)
+    params = lg.LGParams(args.x, args.delta, args.c or 1.0)
+    table = build_prime_table(args.x)
     s = lg.construct(params, table)
     if args.c is None:
         s = lg.with_cutoff(s, lg.choose_cutoff(s, args.epsilon))
-    return s, table
-
-
-def _set_and_table(args, x=None):
-    """The set and a prime table of size x, for commands that read one."""
-    s, table = _load_or_build(args, x)
-    if table is None:
-        table = build_prime_table(s.params.x)
     return s, table
 
 
@@ -280,7 +267,8 @@ def _make_weights(kind, x, rng) -> smoothcount.WeightedSet:
 
 
 def _cmd_theorem2(args) -> int:
-    s, table = _set_and_table(args)
+    s, table = _load_or_build(args)
+    table = table or build_prime_table(s.params.x)
     part = smoothcount.partition(s, args.theta, table)
     ws = _make_weights(args.weights, s.params.x, random.Random(args.seed))
     rep = smoothcount.sieve_report(ws, part, args.gamma)
@@ -300,14 +288,11 @@ def _cmd_theorem2(args) -> int:
 
 
 def _sumset_setup(args):
-    if getattr(args, "lg_at_2x", False):
-        if args.set_path:
-            raise ValueError("--lg-at-2x cannot be combined with --set")
-        s, table = _set_and_table(args, 2 * args.x)
-        x_domain = args.x
-    else:
-        s, table = _set_and_table(args)
-        x_domain = s.params.x // 2
+    """The set, its table, and A, B drawn from [1, x/2], so that every
+    a + b lies in [1, x]."""
+    s, table = _load_or_build(args)
+    table = table or build_prime_table(s.params.x)
+    x_domain = s.params.x // 2
     rng = random.Random(args.seed)
     A = rng.sample(range(1, x_domain + 1), min(args.size_a, x_domain))
     B = rng.sample(range(1, x_domain + 1), min(args.size_b, x_domain))

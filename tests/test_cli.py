@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -93,6 +94,31 @@ def test_sweep_grid_limits():
     assert len(parse_args([*_SWEEP, "4096:1.5e-13:4096"]).theta) <= 10**4 + 1
 
 
+_SET_OPTIONS = "-h --help --set --x --delta --c --epsilon"
+_SUMSET_OPTIONS = "--theta --gamma --size-a --size-b --seed --out"
+OPTIONS = {
+    "build": f"{_SET_OPTIONS} --out",
+    "verify": _SET_OPTIONS,
+    "coverage": f"{_SET_OPTIONS} --cutoff --out",
+    "dickman": "-h --help --max-u --step --x --emit-every --out",
+    "sieve-check": f"{_SET_OPTIONS} --size --seed --trials --out",
+    "theorem2": f"{_SET_OPTIONS} --theta --gamma --weights --seed --out",
+    "sumset": f"{_SET_OPTIONS} {_SUMSET_OPTIONS}",
+    "sweep": f"{_SET_OPTIONS} {_SUMSET_OPTIONS}",
+}
+
+
+def test_options_are_the_listed_ones(capsys):
+    # an option added to (or dropped from) the CLI must be written here too
+    assert OPTIONS.keys() == cli._DISPATCH.keys()
+    for command, options in OPTIONS.items():
+        with pytest.raises(SystemExit) as exc:
+            parse_args([command, "-h"])
+        assert exc.value.code == 0
+        found = re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", capsys.readouterr().out)
+        assert (command, set(found)) == (command, set(options.split()))
+
+
 def test_parse_missing_params():
     with pytest.raises(SystemExit) as exc:
         parse_args(["verify"])
@@ -169,15 +195,28 @@ def test_coverage_on_overlapping_set(tmp_path, capsys):
     assert "lgsieve verify" in capsys.readouterr().err
 
 
-def test_sumset_lg_at_2x_with_set_file(tmp_path, capsys):
-    path = tmp_path / "set.json"
-    path.write_text(json.dumps(_GOOD_SET))
-    code = run_cli(
-        "sumset", "--set", str(path), "--lg-at-2x", "--theta", "0.5",
-        "--gamma", "0.2", "--size-a", "3", "--size-b", "3",
+_SET_COMMANDS = {
+    "build": ["--out", "o.json"],
+    "verify": [],
+    "coverage": [],
+    "sieve-check": ["--size", "20"],
+    "theorem2": ["--theta", "0.5", "--gamma", "0.2"],
+    "sumset": ["--theta", "0.5", "--gamma", "0.2", "--size-a", "5", "--size-b", "5"],
+    "sweep": ["--theta", "0.3:0.2:0.9", "--gamma", "0.2", "--size-a", "5", "--size-b", "5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SET_COMMANDS))
+@pytest.mark.parametrize("flag", [["--x", "50"], ["--delta", "0.9"]], ids=lambda f: f[0])
+def test_set_rejects_x_and_delta(capsys, command, flag):
+    # a --set file fixes x and delta; a flag that would be ignored is an error
+    argv = [command, "--set", "s.json", *flag, *_SET_COMMANDS[command]]
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: {command}: --set takes neither --x nor --delta\n"
     )
-    assert code == 2
-    assert capsys.readouterr().err.startswith("lgsieve: --lg-at-2x")
 
 
 @pytest.mark.parametrize(
@@ -367,12 +406,14 @@ def test_loaded_set_builds_no_table(tmp_path, monkeypatch, command):
     assert run_cli("build", "--x", "100", "--delta", "0.2", "--out", str(path)) == 0
     limits, inner = [], cli.build_prime_table
     monkeypatch.setattr(cli, "build_prime_table", lambda n: limits.append(n) or inner(n))
-    extra = {"build": ["--out", str(copy)], "sieve-check": ["--size", "20"]}.get(command, [])
+    extra = ["--out", str(copy)] if command == "build" else _SET_COMMANDS[command]
     assert run_cli(command, "--set", str(path), *extra) == 0
     assert command != "build" or load_json(copy) == load_json(path)
     assert limits == []
-    assert run_cli("theorem2", "--set", str(path), "--theta", "0.5", "--gamma", "0.2") == 0
-    assert limits == [100]  # theorem2's partition reads the table
+    for reader in ("theorem2", "sumset", "sweep"):  # their partitions read the table
+        limits.clear()
+        assert run_cli(reader, "--set", str(path), *_SET_COMMANDS[reader]) == 0
+        assert limits == [100]
 
 
 def test_loaded_set_over_byte_limit_exits_2_before_allocating(tmp_path, capsys):
@@ -467,9 +508,10 @@ OUTPUT_HASHES = {
                              "--size-a", "300", "--size-b", "300", "--seed", "7",
                              "--out", "{out}"], 0,
                             "b653e8563560d7b2724d458daa61c2cc259fc1a2b09e07b6401ea646b99f44b4"),
-    "sumset-lg-at-2x": (["sumset", *_SET, *_T3, "--size-a", "300", "--size-b", "300",
-                         "--seed", "7", "--lg-at-2x", "--out", "{out}"], 0,
-                        "2ecd00f5029050bae6ad431349c4a224cd8adaaca31d9c977157bc995495329a"),
+    # A, B from [1, 10^4], so a sumset over all of [1, x] at x = 10^4
+    "sumset-2e4": (["sumset", "--x", "20000", "--delta", "0.05", *_T3, "--size-a", "300",
+                    "--size-b", "300", "--seed", "7", "--out", "{out}"], 0,
+                   "2ecd00f5029050bae6ad431349c4a224cd8adaaca31d9c977157bc995495329a"),
     "dickman-x": (["dickman", "--max-u", "4", "--step", "0.01", "--x", "100000",
                    "--out", "{out}"], 0,
                   "44246b03efdcb680b4985e9dcb4f8bfd409e2d8683469d06086a5df7f89c753d"),

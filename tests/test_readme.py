@@ -49,7 +49,6 @@ ROW_ARGS = {
     "sweep": "sweep --x {x} --theta 0.5:0.1:0.6 " + _SUMS,
     "sumset": "sumset --x {x} --theta 0.5 " + _SUMS,
     "sieve-check": "sieve-check --x {x} --delta 0.05 --size {x}",
-    "sumset --lg-at-2x": "sumset --lg-at-2x --x {x} --theta 0.5 " + _SUMS,
 }
 
 
