@@ -77,8 +77,8 @@ def _add_set_source(p):
     p.add_argument(
         "--epsilon",
         type=_unit_open,
-        default=0.2,
-        help="coverage target used to choose c when --c is absent",
+        default=None,
+        help="coverage target that chooses c for a built set without --c (default 0.2)",
     )
 
 
@@ -96,7 +96,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p = sub.add_parser("verify", help="check the pairwise-lcm property")
     _add_set_source(p)
 
-    p = sub.add_parser("coverage", help="exhaustive coverage scan")
+    p = sub.add_parser("coverage", help="exact count of the m <= x the members below x^c cover")
     _add_set_source(p)
     p.add_argument("--cutoff", type=_unit_half_open, default=None)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
@@ -151,6 +151,8 @@ def parse_args(argv=None) -> argparse.Namespace:
             parser.error(f"{args.command}: --set takes neither --x nor --delta")
         if not args.set_path and (args.x is None or args.delta is None):
             parser.error(f"{args.command}: need --set or both --x and --delta")
+        if args.epsilon is not None and (args.set_path or args.c is not None):
+            parser.error(f"{args.command}: --epsilon chooses c, so it takes neither --set nor --c")
     return args
 
 
@@ -168,7 +170,7 @@ def _load_or_build(args):
     table = build_prime_table(args.x)
     s = lg.construct(params, table)
     if args.c is None:
-        s = lg.with_cutoff(s, lg.choose_cutoff(s, args.epsilon))
+        s = lg.with_cutoff(s, lg.choose_cutoff(s, args.epsilon or 0.2))
     return s, table
 
 

@@ -197,7 +197,7 @@ def variance_report(
     The moduli are the members below x^cutoff, so the set must be LG
     (ValueError otherwise).
 
-    eps' comes from a coverage scan at the same cutoff unless the
+    eps' comes from ``coverage`` at the same cutoff unless the
     caller passes a precomputed value; ``table`` is passed through to
     coverage, which does not read it.
     """

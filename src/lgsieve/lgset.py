@@ -302,18 +302,18 @@ def verify_pairwise_lcm(lgset: LGSet) -> PairwiseLcmReport:
 
 
 def coverage(lgset: LGSet, cutoff_exponent: float, table: PrimeTable) -> CoverageReport:
-    """Exhaustive count of the m = 1..x whose unique member divisor lies
-    below x^cutoff, read from the divisor map; ValueError on a set that
-    is not LG.  ``table`` is unused and kept for the call signature."""
+    """Count of the m = 1..x whose unique member divisor lies below
+    x^cutoff: the sum of floor(x/q) over those members, since on an LG
+    set no m has two.  The divisor map is read only to raise ValueError
+    on a set that is not LG; ``table`` is unused, kept for the signature."""
     params = lgset.params
     x = params.x
     k = lgset.count_below(cutoff_exponent)
     small = lgset.qs[:k]
-    top = int(small[-1]) if k else 0  # div holds only members, so this bounds it
-    div = lgset.divisor_map()
-    covered = int(np.count_nonzero((div > 0) & (div <= top)))
+    lgset.divisor_map()
+    covered = int((x // small).sum(dtype=np.int64))
     harmonic = _exact_sum(1.0 / small)
-    report = CoverageReport(
+    return CoverageReport(
         x=x,
         delta=params.delta,
         cutoff_exponent=cutoff_exponent,
@@ -323,12 +323,6 @@ def coverage(lgset: LGSet, cutoff_exponent: float, table: PrimeTable) -> Coverag
         epsilon_prime=1.0 - harmonic,
         members_below_cutoff=k,
     )
-    # accounting invariant; a failure here is an implementation bug
-    if not abs(harmonic - covered / x) <= k / x + 1.0 / x:
-        raise RuntimeError(
-            f"harmonic sum {harmonic!r} inconsistent with covered/x = {covered / x!r}"
-        )
-    return report
 
 
 def choose_cutoff(lgset: LGSet, epsilon: float) -> float:

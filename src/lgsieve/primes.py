@@ -177,13 +177,14 @@ def is_smooth(n: int, y: float, table: PrimeTable) -> bool:
 
 def psi_count(x: int, y, table: PrimeTable):
     """#{1 <= n <= x : n is y-smooth} for a bound y (an int back) or a
-    1-D array of bounds (an int64 array back), read off one cumulative
-    histogram of the largest prime factors at floor(y)."""
+    1-D array of bounds (an int64 array back): the number of entries at
+    most floor(y) in one sorted copy of the largest prime factors of
+    1..x."""
     x = _int_in_range("x", x, 1, table.limit)
-    if np.isnan(y).any():  # a nan bound would cast to an arbitrary index
+    if np.isnan(y).any():  # a nan bound would cast to an arbitrary integer
         raise ValueError(f"smoothness bound y must not be nan, got {y}")
-    # cum[k] = #{n <= x : lpf(n) <= k}; lpf >= 1, so cum[0] = 0 serves y < 1
-    cum = np.cumsum(np.bincount(table.largest_factor_array()[1 : x + 1]))
-    counts = cum[np.clip(np.floor(y), 0, cum.size - 1).astype(np.int64)]
+    check_array_bytes(x, 4, "the sorted largest prime factors")
+    lpf = np.sort(table.largest_factor_array()[1 : x + 1])
+    # bounds of the copy's own dtype: int64 ones would make numpy cast all of it
+    counts = lpf.searchsorted(np.clip(np.floor(y), 0, x).astype(lpf.dtype), side="right")
     return int(counts) if np.ndim(counts) == 0 else counts
-

@@ -219,6 +219,35 @@ def test_set_rejects_x_and_delta(capsys, command, flag):
     )
 
 
+@pytest.mark.parametrize("command", sorted(_SET_COMMANDS))
+@pytest.mark.parametrize(
+    "source", [["--set", "s.json"], ["--x", "50", "--delta", "0.1", "--c", "0.9"]],
+    ids=["set", "c"],
+)
+def test_epsilon_rejected_where_c_is_given(capsys, command, source):
+    # --epsilon chooses c for a built set; a --set file or --c fixes c,
+    # and an --epsilon beside either would be ignored
+    argv = [command, *source, "--epsilon", "0.01", *_SET_COMMANDS[command]]
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: {command}: --epsilon chooses c, so it takes neither --set nor --c\n"
+    )
+    parse_args([command, *source, *_SET_COMMANDS[command]])  # either source alone is fine
+
+
+def test_epsilon_defaults_to_one_fifth(capsys):
+    base = ["coverage", "--x", "3000", "--delta", "0.1"]
+    assert parse_args(base).epsilon is None
+    assert run_cli(*base) == 0
+    default = capsys.readouterr().out
+    assert run_cli(*base, "--epsilon", "0.2") == 0
+    assert capsys.readouterr().out == default
+    assert run_cli(*base, "--epsilon", "0.01") == 0
+    assert capsys.readouterr().out != default
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from lgsieve import (
 from lgsieve.lgset import JSON_BLOCK, _multiple_blocks
 from lgsieve.powers import floor_pow, largest_int_below_pow
 from lgsieve.primes import INT32_MAX, _exact_sum
+from lg_samples import random_lg_set
 from test_primes import masked_ascending_spf
 
 EXPECTED_100 = sorted(
@@ -587,6 +589,26 @@ def test_coverage_cutoff_out_of_range(set100, table1k):
         coverage(set100, 0.2, table1k)
     with pytest.raises(ValueError):
         coverage(set100, 1.1, table1k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.integers(min_value=4, max_value=2 * 10**4),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_coverage_count_matches_member_walk(table100k, x, seed):
+    # oracle: the m <= x that the members below x^c mark, one slice per
+    # member, grown along the grid c in (delta, 1]
+    s = random_lg_set(x, random.Random(seed), table100k)
+    members = s.members
+    mark = np.zeros(x + 1, dtype=bool)
+    done = 0
+    for c in [k / 100 for k in range(1, 101) if k / 100 > s.params.delta]:
+        k = s.count_below(c)
+        for q in members[done:k]:
+            mark[q::q] = True
+        done = k
+        assert coverage(s, c, table100k).covered_count == np.count_nonzero(mark), c
 
 
 def _count_below_oracle(s, k):

@@ -336,6 +336,26 @@ def test_psi_full_for_large_y(table10k):
     assert psi_count(10**4, 10**4, table10k) == 10**4
 
 
+def test_psi_count_peak_is_one_sorted_copy(monkeypatch):
+    # psi_count's arrays at x = 10^5: one int32 copy of lpf[1 : x + 1]
+    # fits a byte limit of x + 1 int32 entries; an int64 histogram of
+    # max lpf + 1 entries and its cumulative sum (16 bytes per n) do not
+    x = 10**5
+    monkeypatch.setattr(primes_module, "ARRAY_BYTES_MAX", 4 * (x + 1))
+    t = build_prime_table(x)
+    t.largest_factor_array()  # built before tracing: the table's array, not psi_count's
+    grid = x ** (1 / np.linspace(1, 8, 200))
+    slack = 64 * 1024  # the grid's clipped and cast copies, the counts, numpy's small buffers
+    tracemalloc.start()
+    try:
+        counts = psi_count(x, grid, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts[0] == x and counts[-1] == _psi_oracle(x, grid[-1], t)
+    assert peak <= primes_module.ARRAY_BYTES_MAX + slack, peak
+
+
 @pytest.mark.parametrize("y", [math.nan, np.array([2.0, math.nan])])
 def test_psi_rejects_nan_bound(table1k, y):
     # a nan bound used to cast to an arbitrary index and raise IndexError

@@ -161,6 +161,14 @@ def test_sieve_report_reads_classes_from_the_divisor_map():
     assert loops == []
 
 
+def test_coverage_counts_from_the_members():
+    # on an LG set the covered count is sum floor(x/q) over the members
+    # below x^c; the divisor map is read as the LG check, never scanned
+    names = _names_reached("lgset.py", "coverage")
+    assert "divisor_map" in names
+    assert not names & {"count_nonzero", "RuntimeError"}
+
+
 def test_verify_lists_pairs_from_the_divisor_map():
     # a set that is not LG has its pairs listed from the map that
     # multiples_disjoint built; the per-member recount into a second
