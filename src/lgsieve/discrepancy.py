@@ -36,8 +36,6 @@ class DiscrepancyReport:
     size: int
     moduli_count: int
     xc: float
-    epsilon: float
-    epsilon_prime: float
     lhs: float
     rhs: float
     rhs_exact: float
@@ -46,7 +44,6 @@ class DiscrepancyReport:
     bound_holds: bool
     exact_bound_holds: bool
     pair_bound_holds: bool
-    identity_rel_err: float
     # one entry per modulus; the tuples and lines are built only when read
     q: np.ndarray = field(repr=False)
     sum_sq: np.ndarray = field(repr=False)
@@ -192,8 +189,7 @@ def variance_report(
     from one certified difference count D of C (``_pair_counts``), and
     ``LGSet.multiple_sums`` reads every modulus's D[q] + D[2q] + ... in
     one pass over the divisor map.  So the cost is one FFT, whose length
-    is set by the span max C - min C rather than x, and one np.add.at,
-    not one residue histogram or strided walk per modulus.
+    is set by the span max C - min C rather than x, and one np.add.at.
     The moduli are the members below x^cutoff, so the set must be LG
     (ValueError otherwise).
 
@@ -218,10 +214,6 @@ def variance_report(
     pair_sum = 2 * int(pairs.sum())
     sum_sq_total = size * qs.size + pair_sum
     lhs = _exact_sum(contrib)
-    # same quantity via the expanded identity sum C(a,q)^2 - |C|^2 sum 1/q
-    lhs_alt = sum_sq_total - size * size * _exact_sum(1.0 / qs)
-    scale = max(abs(lhs), abs(lhs_alt), 1.0)
-    identity_rel_err = abs(lhs - lhs_alt) / scale
 
     if eps_prime is None:
         eps_prime = coverage(lgset, cutoff_exponent, table).epsilon_prime
@@ -232,8 +224,6 @@ def variance_report(
         size=size,
         moduli_count=qs.size,
         xc=xc,
-        epsilon=epsilon,
-        epsilon_prime=eps_prime,
         lhs=lhs,
         rhs=rhs,
         rhs_exact=rhs_exact,
@@ -242,7 +232,6 @@ def variance_report(
         bound_holds=lhs < rhs,
         exact_bound_holds=lhs < rhs_exact,
         pair_bound_holds=pair_sum <= size * (size - 1),
-        identity_rel_err=identity_rel_err,
         q=qs,
         sum_sq=ssq,
         contribution=contrib,

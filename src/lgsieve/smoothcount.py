@@ -101,12 +101,18 @@ def sieve_report(weights: WeightedSet, part: SmoothPartition, gamma: float) -> S
     hypotheses, the conclusion inequality, and the unconditional
     sandwich lhs1 <= smooth_total <= sigma - tau; raises ValueError
     on a set that is not LG.  The set, its divisor map and the prime
-    table are the ones the partition was cut from."""
+    table are the ones the partition was cut from.  lhs1 <= smooth_total
+    needs every k <= x // min(N1) to be y-smooth, as on a constructed set
+    (x // q < lpf(q) for its members q); a set that breaks it raises ValueError."""
     if not 0 < gamma < 1:
         raise ValueError(f"gamma out of (0,1): {gamma}")
     x = part.lgset.params.x
     if weights.x != x:
         raise ValueError(f"weight bound {weights.x} != set bound {x}")
+    lpf = part.table.largest_factor_array()
+    if part.n1.size and lpf[1 : x // part.n1[0] + 1].max() > part.y:
+        q = part.n1[0]
+        raise ValueError(f"smooth member {q} has a multiple <= x = {x} that is not x^theta-smooth")
     arr = weights.array
     sigma = weights.sigma
     # class of m's unique member divisor: 1 in N1, 2 in N2, 0 for none
@@ -119,7 +125,7 @@ def sieve_report(weights: WeightedSet, part: SmoothPartition, gamma: float) -> S
     lhs2 = tau = _exact_sum(arr[code == 2])
     hyp1 = lhs1 > (1.0 - gamma) * sigma * part.sum1
     hyp2 = lhs2 > (1.0 - gamma) * sigma * part.sum2
-    smooth_total = _exact_sum(arr[part.table.largest_factor_array()[: x + 1] <= part.y])
+    smooth_total = _exact_sum(arr[lpf[: x + 1] <= part.y])
 
     center = sigma * part.sum1
     bound = 2.0 * gamma * sigma

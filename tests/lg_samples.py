@@ -12,7 +12,9 @@ def upper_half_set(x):
 def random_lg_set(x, rng, table, size=None):
     """A random subset, of ``size`` members or of a random size, of a
     constructed set or of ``upper_half_set(x)``; subsets of an LG set
-    stay LG.  ``table`` must reach x."""
+    stay LG.  ``table`` must reach x, and ``rng`` must be a
+    ``random.Random``: hypothesis's ``st.randoms()`` fails a sample of
+    more than 8,192 members."""
     if rng.random() < 0.5:
         members = construct(LGParams(x, rng.choice([0.05, 0.2, 0.5])), table).members
     else:

@@ -3,16 +3,18 @@ import hashlib
 import io
 import json
 import math
+import random
 import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgsieve import LGParams, build_prime_table, choose_cutoff, construct, load_json
 from lgsieve import cli, primes
 from lgsieve.cli import main, parse_args
+from lg_samples import random_lg_set, upper_half_set
 
 
 def run_cli(*argv):
@@ -443,6 +445,51 @@ def test_loaded_set_builds_no_table(tmp_path, monkeypatch, command):
         limits.clear()
         assert run_cli(reader, "--set", str(path), *_SET_COMMANDS[reader]) == 0
         assert limits == [100]
+
+
+_ROUGH_SET = {"x": 1000, "delta": 0.1, "c": 1.0, "members": [2]}
+
+
+def test_set_with_a_rough_multiple_of_a_smooth_member_exits_2(tmp_path, capsys):
+    # {2} is LG, but at theta = 0.5 the smooth member 2 has the multiple
+    # 2 * 37 <= 1000, which is not 1000^0.5-smooth: the sieve's premise fails
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(_ROUGH_SET))
+    for command in ("theorem2", "sumset", "sweep"):
+        assert run_cli(command, "--set", str(path), *_SET_COMMANDS[command]) == 2
+        assert capsys.readouterr().err == (
+            "lgsieve: smooth member 2 has a multiple <= x = 1000 that is not x^theta-smooth\n"
+        )
+    assert run_cli("verify", "--set", str(path)) == 0
+
+
+@st.composite
+def _loaded_set_docs(draw):
+    """Set files at x <= 1000: random LG subsets, upper-half sets, and
+    small one- or two-member sets, which need not be LG."""
+    x = draw(st.integers(min_value=4, max_value=1000))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    shape = draw(st.sampled_from(["random", "upper-half", "small"]))
+    if shape == "random":
+        members = random_lg_set(x, rng, build_prime_table(x)).members
+    elif shape == "upper-half":
+        members = upper_half_set(x).members
+    else:  # log-uniform, so that small members with many multiples are common
+        members = sorted({max(2, int(x ** rng.random())) for _ in range(rng.randint(1, 2))})
+    return {"x": x, "delta": 0.1, "c": draw(st.sampled_from([0.5, 1.0])), "members": members}
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_loaded_set_docs())
+@example(doc=_ROUGH_SET)
+def test_loaded_sets_exit_with_a_code_and_never_raise(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("set") / "set.json"
+    path.write_text(json.dumps(doc))
+    for command in ("theorem2", "sumset", "sweep", "sieve-check", "coverage", "verify"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(command, "--set", str(path), *_SET_COMMANDS[command])
+        # 1 is a verification failure: pairs with lcm <= x, or a bound that fails
+        assert code in ({0, 1, 2} if command in ("verify", "sieve-check") else {0, 2}), command
 
 
 def test_loaded_set_over_byte_limit_exits_2_before_allocating(tmp_path, capsys):

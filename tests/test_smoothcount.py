@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgsieve import (
@@ -293,6 +293,52 @@ def test_sieve_report_matches_per_member_walk_property(
     w[rng.random(x + 1) >= density] = 0
     w[0] = 0
     assert_sieve_matches_oracle(WeightedSet(w), part)
+
+
+def _has_prime_factor_above(m, y):
+    """By trial division, independent of the prime table."""
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            if p > y:
+                return True
+            m //= p
+        p += 1
+    return m > y  # m is now 1 or a prime
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    x=st.integers(min_value=4, max_value=3000),
+    theta=st.sampled_from([k / 10 for k in range(1, 11)]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    small=st.lists(st.integers(min_value=2, max_value=3000), max_size=2),
+)
+@example(x=1000, theta=0.5, seed=0, small=[2])
+@example(x=1000, theta=0.6, seed=0, small=[2, 999])  # only the smaller member has one
+@example(x=9, theta=0.5, seed=0, small=[2])  # y = 3: the multiple 2 * 3 is y-smooth
+def test_sieve_report_rejects_a_rough_multiple_of_a_smooth_member(table10k, x, theta, seed, small):
+    # lhs1 <= smooth_total needs every multiple m <= x of an N1 member to
+    # be y-smooth; a loaded LG set need not meet that.  The members are
+    # ``small`` cut to [2, x] (its larger one alone if the two are not
+    # LG), or a random subset of an LG set when ``small`` is empty
+    rng = random.Random(seed)
+    if small:
+        members = {min(q, x) for q in small}
+        if math.lcm(*members) <= x:
+            members = {max(members)}
+    else:
+        members = random_lg_set(x, rng, table10k).members
+    part = partition(LGSet(LGParams(x, 0.05), members), theta, table10k)
+    rough = {m for m in range(1, x + 1) if _has_prime_factor_above(m, part.y)}
+    broken = any(m in rough for q in part.n1.tolist() for m in range(q, x + 1, q))
+    ws = WeightedSet(np.array([0] + [rng.randrange(10) for _ in range(x)]))
+    if broken:
+        with pytest.raises(ValueError, match=f"smooth member {part.n1[0]} has a multiple"):
+            sieve_report(ws, part, 0.2)
+    else:
+        rep = sieve_report(ws, part, 0.2)
+        assert rep.lhs1 <= rep.smooth_total <= rep.sigma - rep.tau
 
 
 def test_sumset_trivial():

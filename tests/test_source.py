@@ -183,6 +183,16 @@ def test_verify_lists_pairs_from_the_divisor_map():
     assert [n.lineno for n in ast.walk(func) if isinstance(n, ast.AugAssign)] == []
 
 
+def test_variance_report_sums_its_left_side_once():
+    # lhs is the one correctly rounded sum of the per-modulus terms; an
+    # expanded form sum_sq_total - |C|^2 sum 1/q reads the same pair counts,
+    # so comparing the two measures rounding, not the counts
+    defs = _functions("discrepancy.py")
+    reached = {"variance_report"} | (_names_reached("discrepancy.py", "variance_report") & set(defs))
+    calls = [f for name in sorted(reached) for f in _calls_of(defs[name], "_exact_sum")]
+    assert calls == ["variance_report"]
+
+
 def _stepped_slices(module, func):
     """(function, line) of every slice with a step in ``func`` and in
     the functions of the same module that it calls."""
