@@ -26,7 +26,7 @@ import numpy as np
 # largest_int_below_pow is unused here; perfbench/tests asserts this binding
 from .lgset import LGSet, coverage, largest_int_below_pow  # noqa: F401
 from .powers import real_pow
-from .primes import PrimeTable, _exact_sum, check_array_bytes
+from .primes import PrimeTable, _exact_sum, _int_array, check_array_bytes
 
 MODULUS_CSV_HEADER = "q,sum_sq,contribution"
 
@@ -73,9 +73,9 @@ class DiscrepancyReport:
 
 
 def distinct_ints(values, hi: int, name: str = "elements") -> np.ndarray:
-    """The distinct integers among ``values``, ascending, as int64;
-    raises ValueError unless they lie in [1, hi]."""
-    arr = np.sort(np.fromiter(values, dtype=np.int64))
+    """The distinct integers among ``values``, ascending, as int64; raises
+    ValueError unless ``_int_array`` takes them and they lie in [1, hi]."""
+    arr = np.sort(_int_array(values, f"{name} must be integers"))
     if arr.size:
         keep = np.empty(arr.size, dtype=bool)
         keep[0] = True
@@ -83,7 +83,7 @@ def distinct_ints(values, hi: int, name: str = "elements") -> np.ndarray:
         arr = arr[keep]
         if not 1 <= arr[0] <= arr[-1] <= hi:
             raise ValueError(f"{name} must lie in [1, {hi}]")
-    return arr
+    return arr.astype(np.int64, copy=False)  # exact: every caller's hi is at most x
 
 
 def _fft_length(n: int) -> int:
@@ -134,7 +134,7 @@ def _pair_counts(A: np.ndarray, B: np.ndarray | None, x: int) -> np.ndarray:
     lo_a, span_a = _window(A)
     if B is None:
         m = _fft_length(2 * span_a + 1)
-        keep, offset = min(x, span_a) + 1, 0
+        keep, offset = span_a + 1, 0
         total = n_a + n_a * (n_a - 1) // 2
     else:
         if n_a and B.size and int(A[-1]) + int(B[-1]) > x:

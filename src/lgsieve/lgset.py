@@ -21,13 +21,12 @@ import bisect
 import copy
 import json
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .powers import floor_pow, largest_int_below_pow
-from .primes import INT32_MAX, PrimeTable, _exact_sum, _int_in_range, check_array_bytes
+from .primes import INT32_MAX, PrimeTable, _exact_sum, _int_array, _int_in_range, check_array_bytes
 
 COVERAGE_CSV_HEADER = "x,delta,cutoff,covered,exceptional,harmonic_sum,epsilon_prime"
 
@@ -45,13 +44,8 @@ class LGParams:
     epsilon_target: float = 0.5
 
     def __post_init__(self):
-        error = f"x must be in [4, {INT32_MAX}], got {self.x}"
-        try:  # as LGSet takes members: a float fails, a numpy integer becomes an int
-            object.__setattr__(self, "x", operator.index(self.x))
-        except TypeError:
-            raise ValueError(error) from None
-        if not 4 <= self.x <= INT32_MAX:
-            raise ValueError(error)
+        # a numpy integer becomes an int, which json.dumps in save_json takes
+        object.__setattr__(self, "x", _int_in_range("x", self.x, 4, INT32_MAX))
         if not 0 < self.delta < self.c <= 1:
             raise ValueError(
                 f"need 0 < delta < c <= 1, got delta={self.delta}, c={self.c}"
@@ -79,21 +73,14 @@ def _multiple_blocks(qs: np.ndarray, x: int):
 class LGSet:
     """The members as one read-only, ascending int32 array ``qs``,
     searched with searchsorted, and a lazily built divisor map.  Members
-    must be distinct integers in [2, x]; a 1-D integer ndarray is taken
-    as it is, any other iterable element by element."""
+    must be distinct integers in [2, x], read by ``_int_array``: a 1-D
+    integer ndarray as it is, any other iterable element by element."""
 
     def __init__(self, params: LGParams, members):
         self.params = params
         error = f"members must be distinct integers in [2, {params.x}]"
-        if not isinstance(members, np.ndarray):
-            try:
-                # operator.index, unlike int(), rejects floats, Fractions and Decimals
-                members = np.fromiter(map(operator.index, members), np.int64)
-            except (TypeError, OverflowError):
-                raise ValueError(error) from None
-        if members.ndim != 1 or members.dtype.kind not in "iu" or (
-            members.size and not 2 <= members.min() <= members.max() <= params.x
-        ):
+        members = _int_array(members, error)
+        if members.size and not 2 <= members.min() <= members.max() <= params.x:
             raise ValueError(error)
         # in [2, x], which LGParams caps at INT32_MAX, so the cast is exact
         qs = np.sort(members.astype(np.int32, copy=False))
@@ -419,17 +406,17 @@ def save_json(lgset: LGSet, path) -> None:
 
 
 def load_json(path) -> LGSet:
-    """Read a set written by save_json.  Raises ValueError unless x and
-    every member are JSON integers and delta and c are numbers; LGSet
-    checks the members are distinct and lie in [2, x]."""
+    """Read a set written by save_json.  Raises ValueError unless the
+    keys are there, delta and c are JSON numbers and members is a list;
+    LGParams and LGSet check x and the members under the integer rule."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not {"x", "delta", "c", "members"} <= doc.keys():
         raise ValueError("set file needs the keys x, delta, c and members")
     x, delta, c, members = doc["x"], doc["delta"], doc["c"], doc["members"]
     # type() rather than isinstance(), which would accept true and false
-    if type(x) is not int or not {type(delta), type(c)} <= {int, float}:
-        raise ValueError(f"need an integer x and numbers delta, c; got {x!r}, {delta!r}, {c!r}")
-    if not isinstance(members, list) or not all(type(q) is int for q in members):
-        raise ValueError("members must be a list of integers")
+    if not {type(delta), type(c)} <= {int, float}:
+        raise ValueError(f"need numbers delta, c; got {delta!r}, {c!r}")
+    if not isinstance(members, list):
+        raise ValueError("members must be a list")
     return LGSet(LGParams(x=x, delta=delta, c=c), members)

@@ -9,6 +9,7 @@ construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import array
 import math
 import operator
 from dataclasses import dataclass
@@ -121,20 +122,14 @@ def _primes_up_to(n: int) -> np.ndarray:
 
 
 def build_prime_table(limit: int) -> PrimeTable:
-    error = f"sieve limit must be >= 2, got {limit}"
-    try:
-        limit = operator.index(limit)  # rejects floats, as LGSet does for members
-    except TypeError:
-        raise ValueError(error) from None
-    if limit < 2:
-        raise ValueError(error)
+    limit = _int_in_range("sieve limit", limit, 2, INT32_MAX)  # tables are int32
     check_array_bytes(limit + 1, 4, "the prime table")  # the lazy lpf array
     return PrimeTable(limit, _primes_up_to(limit))
 
 
 def _int_in_range(name: str, value, low: int, high: int) -> int:
-    """``value`` as an int, if it is an integer in [low, high]; numpy
-    integers pass, and floats fail as they do for LGSet members."""
+    """``value`` as an int, if it is an integer in [low, high]: numpy
+    integers pass, and floats, Fractions, Decimals and strings fail."""
     try:
         n = operator.index(value)
     except TypeError:
@@ -142,7 +137,22 @@ def _int_in_range(name: str, value, low: int, high: int) -> int:
     else:
         if low <= n <= high:
             return n
-    raise ValueError(f"{name}={value} outside [{low}, {high}]")
+    raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
+
+
+def _int_array(values, error: str) -> np.ndarray:
+    """``values`` as a 1-D integer array, else ValueError(error).  An
+    integer ndarray is taken as it is, and any other iterable is read into
+    int64 through ``__index__``, as ``_int_in_range`` reads one integer."""
+    if not isinstance(values, np.ndarray):
+        try:
+            # list() first: array.array would read a bytes object as raw int64s
+            values = np.asarray(array.array("q", list(values)))
+        except (TypeError, OverflowError):
+            raise ValueError(error) from None
+    if values.ndim != 1 or values.dtype.kind not in "iu":
+        raise ValueError(error)
+    return values
 
 
 def factorize(n: int, table: PrimeTable) -> Factorization:

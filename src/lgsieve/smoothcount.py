@@ -22,7 +22,7 @@ from . import dickman
 from .discrepancy import _pair_counts, distinct_ints, variance_report
 from .lgset import LGSet, coverage, largest_int_below_pow
 from .powers import real_pow
-from .primes import PrimeTable, _exact_sum, check_array_bytes
+from .primes import INT32_MAX, PrimeTable, _exact_sum, _int_in_range, check_array_bytes
 
 
 @dataclass
@@ -159,15 +159,18 @@ def sieve_report(weights: WeightedSet, part: SmoothPartition, gamma: float) -> S
 def sumset_weights(A, B, x: int) -> WeightedSet:
     """w(n) = #{(a, b) in A x B : a + b = n}; sigma = |A| |B|.
 
-    A and B must sit inside {1..floor(x/2)} so every sum lands in
-    [2, x] and the sieve applies verbatim.
+    x must be an integer in [1, INT32_MAX], and A and B must sit inside
+    {1..floor(x/2)} so every sum lands in [2, x] and the sieve applies.
     """
+    x = _int_in_range("x", x, 1, INT32_MAX)
     Aa, Bb = distinct_ints(A, x // 2, "A"), distinct_ints(B, x // 2, "B")
     return WeightedSet(_pair_counts(Aa, Bb, x))
 
 
 def difference_weights(A, x: int) -> WeightedSet:
-    """w(n) = #{(a, a') in A^2 : a > a', a - a' = n}; sigma = C(|A|, 2)."""
+    """w(n) = #{(a, a') in A^2 : a > a', a - a' = n}; sigma = C(|A|, 2).
+    x must be an integer in [1, INT32_MAX] and A must lie in [1, x]."""
+    x = _int_in_range("x", x, 1, INT32_MAX)
     w = _pair_counts(distinct_ints(A, x, "A"), None, x)
     w[0] = 0
     return WeightedSet(w)

@@ -137,7 +137,7 @@ def test_bounds_take_integers_only(x):
     else:
         with pytest.raises(ValueError, match=rf"x must be in \[4, 2147483647\], got {x}$"):
             LGParams(x, 0.1)
-        with pytest.raises(ValueError, match=f"sieve limit must be >= 2, got {x}$"):
+        with pytest.raises(ValueError, match=rf"sieve limit must be in \[2, 2147483647\], got {x}$"):
             build_prime_table(x)
 
 
@@ -243,7 +243,7 @@ def test_per_integer_lookups_take_integers_only(set100, table1k, m):
         if isinstance(m, np.integer):
             assert lookup(m) == lookup(70)
         else:
-            with pytest.raises(ValueError, match="outside"):
+            with pytest.raises(ValueError, match=r"must be in \[\d+, \d+\], got "):
                 lookup(m)
 
 

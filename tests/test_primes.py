@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,14 +10,22 @@ from hypothesis import strategies as st
 
 import lgsieve.primes as primes_module
 from lgsieve import (
+    LGParams,
+    LGSet,
     PrimeTable,
     ResourceLimitError,
+    WeightedSet,
     build_prime_table,
+    difference_weights,
     factorize,
+    find_divisor,
     is_smooth,
     largest_prime_factor,
     psi_count,
+    sumset_weights,
+    variance_report,
 )
+from lgsieve.smoothcount import residue_convolution_identity_ok
 
 # Frozen regression constant: Psi(10^6, 10^3), fixed by the independent
 # smooth-number enumeration oracle below before the main build.
@@ -368,3 +378,84 @@ def test_is_smooth_rejects_nan_bound(table1k, n):
     # a nan bound compares False with every factor: 1 was smooth and 4 was not
     with pytest.raises(ValueError, match="smoothness bound y must not be nan"):
         is_smooth(n, math.nan, table1k)
+
+
+# Every entry point that takes integers, with the range it accepts.  A
+# scalar entry is call(v, table1k, set100); a set entry is
+# call(values, ints, table1k, set100), where ints are the same values as
+# Python ints (the residue identity builds its weights from them).
+SCALAR_ENTRY_POINTS = {
+    "LGParams x": (4, 1000, lambda v, t, s: LGParams(v, 0.2)),
+    "build_prime_table": (2, 1000, lambda v, t, s: build_prime_table(v)),
+    "find_divisor": (1, 100, lambda v, t, s: find_divisor(v, s)),
+    "factorize": (2, 1000, lambda v, t, s: factorize(v, t)),
+    "largest_prime_factor": (2, 1000, lambda v, t, s: largest_prime_factor(v, t)),
+    "is_smooth n": (1, 1000, lambda v, t, s: is_smooth(v, 5, t)),
+    "psi_count x": (1, 1000, lambda v, t, s: psi_count(v, 10, t)),
+    "sumset_weights x": (10, 1000, lambda v, t, s: sumset_weights([1, 2], [5], v)),
+    "difference_weights x": (4, 1000, lambda v, t, s: difference_weights([1, 4], v)),
+}
+SET_ENTRY_POINTS = {
+    "LGSet members": (2, 100, lambda v, ints, t, s: LGSet(LGParams(100, 0.2), v)),
+    "sumset_weights A": (1, 50, lambda v, ints, t, s: sumset_weights(v, [3], 100)),
+    "sumset_weights B": (1, 50, lambda v, ints, t, s: sumset_weights([3], v, 100)),
+    "difference_weights A": (1, 100, lambda v, ints, t, s: difference_weights(v, 100)),
+    "variance_report": (1, 100, lambda v, ints, t, s: variance_report(v, s, 1.0, 0.5, t)),
+    "residue identity A": (1, 50, lambda v, ints, t, s: residue_convolution_identity_ok(
+        sumset_weights(ints, [3], 100), v, [3], s.members, s)),
+    "residue identity B": (1, 50, lambda v, ints, t, s: residue_convolution_identity_ok(
+        sumset_weights([3], ints, 100), [3], v, s.members, s)),
+}
+INT_SCALARS = [int, np.int64, np.int32, np.uint16]
+INT_SETS = [
+    list,
+    tuple,
+    lambda v: [np.int64(n) for n in v],
+    lambda v: np.asarray(v, dtype=np.int64),
+    lambda v: np.asarray(v, dtype=np.int32),
+    lambda v: np.asarray(v, dtype=np.uint16),
+]
+NOT_INTS = [
+    float,  # integral, as 3.0
+    lambda n: n + 0.7,
+    np.float64,
+    Fraction,
+    lambda n: Fraction(2 * n + 1, 2),
+    Decimal,
+    str,
+    lambda n: n + 2**63,  # beyond int64
+]
+
+
+def _comparable(result):
+    if isinstance(result, PrimeTable):
+        return result.limit, result.primes.tolist()
+    if isinstance(result, WeightedSet):
+        return result.array.tolist(), result.sigma
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_integer_entry_points_share_one_rule(table1k, set100, data):
+    # Python ints, numpy integer scalars and integer arrays give one result;
+    # a float (integral or not), Fraction, Decimal, numeric string or an int
+    # beyond int64 raises ValueError, never a truncated result
+    bad = data.draw(st.sampled_from(NOT_INTS))
+    if data.draw(st.booleans()):
+        low, high, call = SCALAR_ENTRY_POINTS[data.draw(st.sampled_from(sorted(SCALAR_ENTRY_POINTS)))]
+        n = data.draw(st.integers(low, high))
+        form = data.draw(st.sampled_from(INT_SCALARS))
+        assert _comparable(call(form(n), table1k, set100)) == _comparable(call(n, table1k, set100))
+        with pytest.raises(ValueError):
+            call(bad(n), table1k, set100)
+    else:
+        low, high, call = SET_ENTRY_POINTS[data.draw(st.sampled_from(sorted(SET_ENTRY_POINTS)))]
+        ints = data.draw(st.lists(st.integers(low, high), min_size=1, max_size=20, unique=True))
+        form = data.draw(st.sampled_from(INT_SETS))
+        want = _comparable(call(ints, ints, table1k, set100))
+        assert _comparable(call(form(ints), ints, table1k, set100)) == want
+        i = data.draw(st.integers(0, len(ints) - 1))
+        for values in ([*ints[:i], bad(ints[i]), *ints[i + 1 :]], np.asarray(ints, dtype=float)):
+            with pytest.raises(ValueError):
+                call(values, ints, table1k, set100)

@@ -394,3 +394,28 @@ def test_powers_of_x_only_in_powers():
     # the one integer power: a factorization's p^e, exact in Python ints
     (allowed,) = [f for f in found if f[:2] == ("primes.py", "Factorization.product")]
     assert found - {allowed} == set()
+
+
+def test_integer_rule_has_one_owner():
+    # primes.py owns "is this an integer": _int_in_range for one value and
+    # _int_array for a set; every other module reaches them, never operator
+    importers = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Import) and "operator" in {a.name for a in node.names}
+        or isinstance(node, ast.ImportFrom) and node.module == "operator"
+    }
+    assert importers == {"primes.py"}
+    for module, func, helper in [
+        ("discrepancy.py", "distinct_ints", "_int_array"),
+        ("lgset.py", "__init__", "_int_array"),  # LGSet's, the one __init__ there
+        ("lgset.py", "__post_init__", "_int_in_range"),
+        ("primes.py", "build_prime_table", "_int_in_range"),
+        ("smoothcount.py", "sumset_weights", "_int_in_range"),
+        ("smoothcount.py", "difference_weights", "_int_in_range"),
+    ]:
+        assert helper in _names_reached(module, func), (module, func)
+        own = {getattr(n, "id", None) or getattr(n, "attr", None)
+               for n in ast.walk(_functions(module)[func])}
+        assert not own & {"fromiter", "index"}, (module, func)  # no copy of the rule
