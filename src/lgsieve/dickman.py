@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .powers import real_pow
-from .primes import PrimeTable, check_array_bytes, psi_count
+from .primes import PrimeTable, _real_array, check_array_bytes, psi_count
 
 DEFAULT_STEP = 2.0**-10
 
@@ -79,8 +79,8 @@ def build_dickman_table(step: float = DEFAULT_STEP, max_u: float = 10.0) -> Dick
 
 
 def rho(u: float, table: DickmanTable) -> float:
-    if not u >= 0:  # nan fails the comparison
-        raise ValueError(f"u must be nonnegative, got {u}")
+    """rho at one real u >= 0 (``_real_array``), from the table's grid."""
+    u = _real_array("u", u, 0, 0)
     if u <= 1.0:
         return 1.0
     if u > table.max_u:
@@ -89,10 +89,8 @@ def rho(u: float, table: DickmanTable) -> float:
 
 
 def empirical_rho(x: int, u, table: PrimeTable):
-    """Psi(x, x^(1/u)) / x, the finite-x smooth density, for u >= 1 or
-    a 1-D array of such u (a float, or a float64 array, back)."""
-    us = np.asarray(u, dtype=float)
-    if not np.all(us >= 1):  # nan fails the comparison
-        raise ValueError(f"u must be >= 1, got {u}")
+    """Psi(x, x^(1/u)) / x, the finite-x smooth density, for a real u >= 1 or a
+    1-D array of them (``_real_array``); a float, or a float64 array, back."""
+    us = _real_array("u", u, 1, 1)
     y = np.array([real_pow(x, 1.0 / v) for v in us.flat]).reshape(us.shape)
     return psi_count(x, y, table) / x

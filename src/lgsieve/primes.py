@@ -61,21 +61,17 @@ class PrimeTable:
     def largest_factor_array(self) -> np.ndarray:
         """Array of largest prime factors, built lazily; lpf[1] == 1.
 
-        Each prime p <= sqrt(limit), ascending, writes p at its multiples,
-        and each larger prime writes itself, so every n >= 2 holds some
-        prime factor q.  Then lpf(n) = max(q, lpf(n // q)) with
-        n // q <= n / 2, so each block [lo, 2 lo) reads only the finished
-        lpf[:lo]: about log2(limit) vectorized steps on int32 temporaries
-        of at most limit / 2 + 1 entries.
+        It starts as n itself, so 1 and each prime hold their own value,
+        and each prime p <= sqrt(limit), ascending, writes p from p^2 on:
+        every n >= 2 holds some prime factor q.  Then lpf(n) =
+        max(q, lpf(n // q)) with n // q <= n / 2, so each block [lo, 2 lo)
+        reads only the finished lpf[:lo]: about log2(limit) vectorized
+        steps on int32 temporaries of at most limit / 2 + 1 entries.
         """
         if self._largest_factor is None:
-            lpf = np.zeros(self.limit + 1, dtype=np.int32)
-            small = self.primes[self.primes <= math.isqrt(self.limit)]
-            for p in small.tolist():
-                lpf[p::p] = p
-            big = self.primes[small.size :]
-            lpf[big] = big
-            lpf[1] = 1
+            lpf = np.arange(self.limit + 1, dtype=np.int32)
+            for p in self.primes[self.primes <= math.isqrt(self.limit)].tolist():
+                lpf[p * p :: p] = p
             lo = 2
             while lo <= self.limit:
                 hi = min(2 * lo, self.limit + 1)
@@ -137,7 +133,21 @@ def _int_in_range(name: str, value, low: int, high: int) -> int:
     else:
         if low <= n <= high:
             return n
-    raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
+    raise ValueError(f"{name} must be in [{low}, {high}], got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """``value`` for an error message: str and bytes quoted, so "100" does not read as a number."""
+    return repr(value) if isinstance(value, (str, bytes)) else str(value)
+
+
+def _real_array(name: str, value, low: float, max_ndim: int) -> np.ndarray:
+    """``value`` as float64, if it is bools, integers or floats in at most ``max_ndim``
+    dimensions, none below ``low`` or nan: str, None, complex and Fraction fail."""
+    arr = np.asarray(value)
+    if arr.dtype.kind in "biuf" and arr.ndim <= max_ndim and np.all(arr >= low):  # nan fails >=
+        return arr.astype(np.float64)
+    raise ValueError(f"{name} must be >= {low}, real and at most {max_ndim}-D, got {_shown(value)}")
 
 
 def _int_array(values, error: str) -> np.ndarray:
@@ -177,22 +187,19 @@ def largest_prime_factor(n: int, table: PrimeTable) -> int:
 
 
 def is_smooth(n: int, y: float, table: PrimeTable) -> bool:
-    """True iff lpf(n) <= y, with lpf(1) = 1 as in ``psi_count`` and the
-    sieve's largest-factor array, so n = 1 is y-smooth iff y >= 1."""
+    """True iff lpf(n) <= y, for one real y (``_real_array``), with lpf(1) = 1
+    as in ``psi_count`` and the lpf array, so n = 1 is y-smooth iff y >= 1."""
     n = _int_in_range("n", n, 1, table.limit)
-    if y != y:  # nan, which compares False with every factor
-        raise ValueError(f"smoothness bound y must not be nan, got {y}")
-    return int(table.largest_factor_array()[n]) <= y
+    y = _real_array("smoothness bound y", y, -math.inf, 0)
+    return bool(table.largest_factor_array()[n] <= y)
 
 
 def psi_count(x: int, y, table: PrimeTable):
-    """#{1 <= n <= x : n is y-smooth} for a bound y (an int back) or a
-    1-D array of bounds (an int64 array back): the number of entries at
-    most floor(y) in one sorted copy of the largest prime factors of
-    1..x."""
+    """#{1 <= n <= x : n is y-smooth} for a real bound y (an int back) or a 1-D
+    array of them (an int64 array back), none nan (``_real_array``): the number
+    of entries at most floor(y) in one sorted copy of the lpf of 1..x."""
     x = _int_in_range("x", x, 1, table.limit)
-    if np.isnan(y).any():  # a nan bound would cast to an arbitrary integer
-        raise ValueError(f"smoothness bound y must not be nan, got {y}")
+    y = _real_array("smoothness bound y", y, -math.inf, 1)
     check_array_bytes(x, 4, "the sorted largest prime factors")
     lpf = np.sort(table.largest_factor_array()[1 : x + 1])
     # bounds of the copy's own dtype: int64 ones would make numpy cast all of it

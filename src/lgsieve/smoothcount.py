@@ -39,21 +39,20 @@ class SmoothPartition:
 class WeightedSet:
     """Nonnegative weights on {1..x} with their exact total sigma.
 
-    ``weights`` is a dense 1-D array of length x+1 >= 2 whose index 0
-    is unused and zero, so x = len(weights) - 1.  The set keeps the
-    caller's array, not a copy.
+    ``weights`` is a dense 1-D bool, int or float array of length x+1 >= 2
+    whose index 0 is unused and zero, so x = len(weights) - 1.  The set
+    keeps the caller's array, not a copy.
     """
 
     def __init__(self, weights):
         arr = np.asarray(weights)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError(f"dense weights must have length x+1 >= 2, got shape {arr.shape}")
+        if arr.ndim != 1 or arr.size < 2 or arr.dtype.kind not in "biuf":
+            raise ValueError("dense weights must have length x+1 >= 2 and a bool, int or float "
+                             f"dtype, got shape {arr.shape}, dtype {arr.dtype}")
         self.x = arr.size - 1
         if arr[0] != 0:
             raise ValueError("weight at index 0 must be zero")
-        # integer and bool weights are finite: no float copy to check them
-        finite = arr.dtype.kind in "biu" or np.all(np.isfinite(arr.astype(float, copy=False)))
-        if np.any(arr < 0) or not finite:
+        if np.any(arr < 0) or arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise ValueError("weights must be finite and nonnegative")
         if arr.dtype.kind in "iu" and arr.sum(dtype=np.float64) >= 2.0**62:
             # integer sums wrap past int64; near 2^63 only Python ints can tell

@@ -134,7 +134,7 @@ def test_rho_out_of_range(table):
         rho(7.0, table)
     with pytest.raises(ValueError):
         rho(-0.1, table)
-    with pytest.raises(ValueError, match="u must be nonnegative, got nan"):
+    with pytest.raises(ValueError, match=r"u must be >= 0, .*got nan$"):
         rho(math.nan, table)
 
 

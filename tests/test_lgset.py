@@ -135,9 +135,10 @@ def test_bounds_take_integers_only(x):
         assert LGParams(x, 0.1) == LGParams(100, 0.1)
         assert build_prime_table(x).primes.tolist() == build_prime_table(100).primes.tolist()
     else:
-        with pytest.raises(ValueError, match=rf"x must be in \[4, 2147483647\], got {x}$"):
+        shown = repr(x) if isinstance(x, str) else x  # quoted, so "100" is no integer
+        with pytest.raises(ValueError, match=rf"x must be in \[4, 2147483647\], got {shown}$"):
             LGParams(x, 0.1)
-        with pytest.raises(ValueError, match=rf"sieve limit must be in \[2, 2147483647\], got {x}$"):
+        with pytest.raises(ValueError, match=rf"sieve limit must be in \[2, 2147483647\], got {shown}$"):
             build_prime_table(x)
 
 

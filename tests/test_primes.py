@@ -15,13 +15,16 @@ from lgsieve import (
     PrimeTable,
     ResourceLimitError,
     WeightedSet,
+    build_dickman_table,
     build_prime_table,
     difference_weights,
+    empirical_rho,
     factorize,
     find_divisor,
     is_smooth,
     largest_prime_factor,
     psi_count,
+    rho,
     sumset_weights,
     variance_report,
 )
@@ -102,9 +105,10 @@ def test_table_matches_masked_loop_every_limit_to_3000():
         assert_table_matches_masked_loop(limit)
 
 
-@pytest.mark.parametrize("p", simple_prime_sieve(100))
+@pytest.mark.parametrize("p", simple_prime_sieve(550))  # p^2 <= 3*10^5
 def test_table_matches_masked_loop_around_prime_squares(p):
-    # the lpf build splits the primes at sqrt(limit), which moves here
+    # the lpf build writes each prime p <= sqrt(limit) from p^2 on, and
+    # sqrt(limit) moves past p here
     oracle = largest_factor_by_slices(p * p + 1)
     for limit in (p * p - 1, p * p, p * p + 1):
         if limit >= 2:
@@ -376,7 +380,7 @@ def test_psi_rejects_nan_bound(table1k, y):
 @pytest.mark.parametrize("n", [1, 4])
 def test_is_smooth_rejects_nan_bound(table1k, n):
     # a nan bound compares False with every factor: 1 was smooth and 4 was not
-    with pytest.raises(ValueError, match="smoothness bound y must not be nan"):
+    with pytest.raises(ValueError, match=r"smoothness bound y must be >= -inf, .*got nan$"):
         is_smooth(n, math.nan, table1k)
 
 
@@ -459,3 +463,60 @@ def test_integer_entry_points_share_one_rule(table1k, set100, data):
         for values in ([*ints[:i], bad(ints[i]), *ints[i + 1 :]], np.asarray(ints, dtype=float)):
             with pytest.raises(ValueError):
                 call(values, ints, table1k, set100)
+
+
+# Every entry point that takes a real number: its floor (-inf for a
+# smoothness bound), the range of values drawn, the most dimensions it
+# takes, and call(v, table1k, dickman6).
+REAL_ENTRY_POINTS = {
+    "is_smooth y": (-math.inf, -3, 40, 0, lambda v, t, d: is_smooth(84, v, t)),
+    "psi_count y": (-math.inf, -3, 120, 1, lambda v, t, d: psi_count(100, v, t)),
+    "rho u": (0, 0, 6, 0, lambda v, t, d: rho(v, d)),
+    "empirical_rho u": (1, 1, 12, 1, lambda v, t, d: empirical_rho(1000, v, t)),
+}
+REAL_SETS = [list, tuple, np.array]
+NOT_REALS = [
+    str,
+    lambda v: str(v).encode(),
+    lambda v: None,
+    complex,
+    Fraction,
+    Decimal,
+    lambda v: math.nan,
+]
+
+
+@pytest.fixture(scope="module")
+def dickman6():
+    return build_dickman_table(max_u=6.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_real_entry_points_share_one_rule(table1k, dickman6, data):
+    # a Python int or float, a numpy scalar and, where 1-D input is taken,
+    # a list, tuple or array give the float value's result; a string,
+    # bytes, None, complex, Fraction, Decimal, nan, a value below the floor
+    # or an array of too many dimensions raises ValueError
+    floor, low, high, max_ndim, call = REAL_ENTRY_POINTS[
+        data.draw(st.sampled_from(sorted(REAL_ENTRY_POINTS)))]
+    form = data.draw(st.sampled_from([int, float, np.float32, np.int64, np.bool_]))
+    if form is np.bool_:
+        v = form(data.draw(st.sampled_from([b for b in (False, True) if b >= floor])))
+    elif form in (int, np.int64):
+        v = form(data.draw(st.integers(low, high)))
+    else:
+        v = form(data.draw(st.floats(low, high)))
+    assert call(v, table1k, dickman6) == call(float(v), table1k, dickman6)
+    bad = data.draw(st.sampled_from(NOT_REALS))
+    rejected = [bad(float(v)), np.full((1,) * (max_ndim + 1), float(v))]
+    if floor > -math.inf:
+        rejected.append(floor - 0.5)
+    if max_ndim:
+        vs = data.draw(st.lists(st.floats(low, high), max_size=5))
+        got = call(data.draw(st.sampled_from(REAL_SETS))(vs), table1k, dickman6)
+        assert got.tolist() == [call(u, table1k, dickman6) for u in vs]
+        rejected.append([*vs, bad(float(v))])
+    for value in rejected:
+        with pytest.raises(ValueError):
+            call(value, table1k, dickman6)

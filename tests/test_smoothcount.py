@@ -153,6 +153,19 @@ def test_weighted_set_validation():
     assert ws.sigma == 4.0 and ws.array is w
 
 
+@pytest.mark.parametrize("arr", [
+    np.array([0, 1 + 5j, 2]),
+    np.array([0, 2**70, 1], dtype=object),
+    np.array(["0", "1", "2"]),
+    np.array([0, 1, 2], dtype="datetime64[D]"),
+], ids=["complex", "object", "str", "datetime"])
+def test_weighted_set_takes_real_dtypes_only(arr):
+    # complex weights lost their imaginary parts to a warning, and object
+    # ones totalled past the 2**63 - 1 limit on integer weights
+    with pytest.raises(ValueError, match="a bool, int or float dtype, got shape"):
+        WeightedSet(arr)
+
+
 def test_weighted_set_rejects_a_dict_without_allocating():
     tracemalloc.start()
     try:

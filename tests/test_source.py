@@ -419,3 +419,20 @@ def test_integer_rule_has_one_owner():
         own = {getattr(n, "id", None) or getattr(n, "attr", None)
                for n in ast.walk(_functions(module)[func])}
         assert not own & {"fromiter", "index"}, (module, func)  # no copy of the rule
+
+
+def test_real_input_rule_has_one_owner():
+    # primes.py owns "is this a real number": _real_array reads every
+    # smoothness bound y and every Dickman u, and no other function in
+    # primes.py or dickman.py tests for nan
+    for module, func in [
+        ("primes.py", "is_smooth"),
+        ("primes.py", "psi_count"),
+        ("dickman.py", "rho"),
+        ("dickman.py", "empirical_rho"),
+    ]:
+        assert "_real_array" in _names_reached(module, func), (module, func)
+    for module in ("primes.py", "dickman.py"):
+        for name, node in _functions(module).items():
+            own = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+            assert name == "_real_array" or "isnan" not in own, (module, name)
