@@ -82,8 +82,10 @@ class LGSet:
         members = _int_array(members, error)
         if members.size and not 2 <= members.min() <= members.max() <= params.x:
             raise ValueError(error)
-        # in [2, x], which LGParams caps at INT32_MAX, so the cast is exact
-        qs = np.sort(members.astype(np.int32, copy=False))
+        # in [2, x], which LGParams caps at INT32_MAX, so the cast is exact; it
+        # copies, so the sort in place never reaches the caller's array
+        qs = members.astype(np.int32)
+        qs.sort()
         # strictly increasing: sorted and no duplicates
         if not (qs[1:] > qs[:-1]).all():
             raise ValueError(error)
@@ -221,7 +223,11 @@ def construct(params: LGParams, table: PrimeTable) -> LGSet:
     A node (product P ending in prime p) is terminal when x < p*P, in
     which case P is emitted; otherwise x >= p*P is exactly the chain
     condition that allows appending any smaller prime above the floor.
-    The two cases are exclusive, so each member is emitted once.
+    The two cases are exclusive, so each member is emitted once.  A
+    one-prime node p is terminal iff p > isqrt(x), so the one-prime
+    members are the slice of the table's primes in (max(x^delta,
+    isqrt(x)), x], taken without a test, and the frontier starts from
+    the primes at most isqrt(x).
     """
     x = params.x
     if table.limit < x:
@@ -229,18 +235,21 @@ def construct(params: LGParams, table: PrimeTable) -> LGSet:
     pmin = floor_pow(x, params.delta)
     primes = table.primes  # ascending
     lo, hi = np.searchsorted(primes, [pmin, x], side="right")
-    ps = primes[lo:hi].astype(np.int64)
+    ps = primes[lo:hi].astype(np.int64, copy=False)  # a view of an int64 table
+    # a one-prime chain p is terminal iff p * p > x: ps[k:] are members, and
+    # ps[:k] start the longer chains (k = 0 when delta >= 1/2)
+    k = int(ps.searchsorted(math.isqrt(x), side="right"))
+    levels = [ps[k:]]
     # the frontier: chain products and the index in ps of each chain's last prime
-    prod, idx = ps, np.arange(ps.size)
-    levels = [prod[:0]]  # concatenate needs one array when ps is empty
+    prod, idx = ps[:k], np.arange(k)
     while prod.size:
+        # expand each node to prod * ps[j] for every j < idx (below x, as ps[j] < ps[idx])
+        parent, idx = _ranges(idx)
+        prod = prod[parent] * ps[idx]
         # prod <= x and ps <= x, both below 2**31, so prod * ps stays exact in int64
         terminal = prod * ps[idx] > x
         levels.append(prod[terminal])
         prod, idx = prod[~terminal], idx[~terminal]
-        # expand each node to prod * ps[j] for every j < idx (below x, as ps[j] < ps[idx])
-        parent, idx = _ranges(idx)
-        prod = prod[parent] * ps[idx]
     return LGSet(params, np.concatenate(levels))
 
 

@@ -48,13 +48,15 @@ class PrimeTable:
     """The primes up to ``limit`` and their largest-prime-factor array.
 
     ``primes`` is ascending.  ``largest_factor_array()`` builds the one
-    factor array on its first call and keeps it.
+    factor array on its first call and keeps it.  Both arrays are
+    read-only once built, since their readers share them.
     """
 
     __slots__ = ("limit", "primes", "_largest_factor")
 
     def __init__(self, limit: int, primes: np.ndarray):
         self.limit = limit
+        primes.flags.writeable = False  # construct reads slices of it, not copies
         self.primes = primes
         self._largest_factor = None
 
@@ -80,6 +82,7 @@ class PrimeTable:
                 cofactor //= p
                 np.maximum(p, lpf[cofactor], out=lpf[lo:hi])
                 lo = hi
+            lpf.flags.writeable = False  # shared by every reader of the table
             self._largest_factor = lpf
         return self._largest_factor
 
@@ -137,8 +140,11 @@ def _int_in_range(name: str, value, low: int, high: int) -> int:
 
 
 def _shown(value) -> str:
-    """``value`` for an error message: str and bytes quoted, so "100" does not read as a number."""
-    return repr(value) if isinstance(value, (str, bytes)) else str(value)
+    """``value`` for an error message: numbers and arrays as ``str`` shows them
+    (np.float64(100.0) as 100.0), anything else as ``repr``, so neither "100" nor
+    Fraction(100) nor Decimal('100') reads as the integer 100."""
+    plain = isinstance(value, (int, float, np.number, np.bool_, np.ndarray))
+    return str(value) if plain else repr(value)
 
 
 def _real_array(name: str, value, low: float, max_ndim: int) -> np.ndarray:

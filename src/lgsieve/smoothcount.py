@@ -7,7 +7,10 @@ turn never exceeds sigma minus the mass tau on multiples of non-smooth
 members.  On an LG set each m <= x has at most one member divisor, so
 tau is the same number as lhs2, and one read of the divisor map gives
 both.  When both divisor-sum hypotheses hold with slack gamma, the
-smooth mass lands within 2*gamma*sigma of sigma * sum1.
+squeeze gives only -gamma*sum1 < S/sigma - sum1 < eps' + gamma*sum2 for
+the smooth mass S, where eps' = 1 - sum1 - sum2.  So S lands within
+2*gamma*sigma of sigma * sum1 only when gamma >= eps'/(2 - sum2); below
+that, both hypotheses can hold while the conclusion fails.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import random
+import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from lgsieve import (
     LGParams,
     LGSet,
     WeightedSet,
+    build_dickman_table,
     build_prime_table,
     choose_cutoff,
     construct,
@@ -28,6 +31,7 @@ from lgsieve import (
     load_json,
     partition,
     psi_count,
+    rho,
     save_json,
     sieve_report,
     variance_report,
@@ -127,7 +131,9 @@ def test_params_validation():
     assert LGParams(2**31 - 1, 0.1).x == 2**31 - 1
 
 
-@pytest.mark.parametrize("x", [np.int64(100), 10000.0, 100.5, np.float64(100), Fraction(100), "100"])
+@pytest.mark.parametrize(
+    "x", [np.int64(100), 10000.0, 100.5, np.float64(100), Fraction(100), Decimal("100"), "100"]
+)
 def test_bounds_take_integers_only(x):
     # a float bound used to pass the range check and fail later in numpy
     if isinstance(x, np.integer):
@@ -135,11 +141,23 @@ def test_bounds_take_integers_only(x):
         assert LGParams(x, 0.1) == LGParams(100, 0.1)
         assert build_prime_table(x).primes.tolist() == build_prime_table(100).primes.tolist()
     else:
-        shown = repr(x) if isinstance(x, str) else x  # quoted, so "100" is no integer
+        # repr for a str, Fraction or Decimal, so none of them reads as the integer 100
+        shown = re.escape(repr(x) if isinstance(x, (str, Fraction, Decimal)) else str(x))
         with pytest.raises(ValueError, match=rf"x must be in \[4, 2147483647\], got {shown}$"):
             LGParams(x, 0.1)
         with pytest.raises(ValueError, match=rf"sieve limit must be in \[2, 2147483647\], got {shown}$"):
             build_prime_table(x)
+
+
+def test_rejected_real_bounds_show_their_type(table1k):
+    # a Fraction or Decimal is no float: the message shows which it was
+    dt = build_dickman_table(max_u=2.0)
+    with pytest.raises(ValueError, match=r"u must be >= 0, .*got Fraction\(1, 1\)$"):
+        rho(Fraction(1), dt)
+    with pytest.raises(ValueError, match=r"y must be >= -inf, .*got Decimal\('5'\)$"):
+        is_smooth(4, Decimal("5"), table1k)
+    with pytest.raises(ValueError, match=r"y must be >= -inf, .*got \[5\.\]$"):
+        is_smooth(4, np.array([5.0]), table1k)  # an array still shows as str shows it
 
 
 def test_construct_x100(set100, table1k):
@@ -154,6 +172,11 @@ def test_construct_x100(set100, table1k):
     st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
 )
 @example(4, 0.99)  # no prime in (x^delta, x]
+@example(49, 0.05)  # x = p^2: p = isqrt(x) starts chains and is no member
+@example(961, 0.05)
+@example(2809, 0.05)
+@example(2809, 0.5)  # delta >= 1/2: every prime above the floor is a member
+@example(3000, 0.7)
 def test_construct_matches_brute_force(table10k, x, delta):
     members = construct(LGParams(x, delta), table10k).members
     assert members == brute_force_members(x, delta, table10k)
@@ -183,6 +206,32 @@ def test_construct_members_pinned_at_1e6():
     assert len(s) == 104_184
     digest = hashlib.sha256(",".join(map(str, s.members)).encode()).hexdigest()
     assert digest == MEMBERS_1E6_SHA256
+
+
+def test_construct_and_lgset_leave_their_inputs_alone(table10k):
+    primes = table10k.primes.copy()
+    construct(LGParams(10**4, 0.05), table10k)  # reads slices of table.primes
+    assert np.array_equal(table10k.primes, primes)
+    arr = np.array([97, 11, 35, 13], dtype=np.int32)
+    s = LGSet(LGParams(100, 0.2), arr)
+    assert s.members == [11, 13, 35, 97]
+    assert arr.tolist() == [97, 11, 35, 13] and arr.flags.writeable
+    assert not np.shares_memory(s.qs, arr)
+
+
+def test_construct_peak_memory_at_1e6():
+    # the one-prime members are a slice of the table: no int64 copy of the
+    # primes and no test of them (about 1.5 MiB at 1e6; 3.0 MiB with both)
+    table = build_prime_table(10**6)
+    params = LGParams(10**6, 0.05)
+    tracemalloc.start()
+    try:
+        s = construct(params, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 104_184
+    assert peak < 2.25 * 2**20, peak
 
 
 def test_construct_table_too_small(table1k):

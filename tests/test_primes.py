@@ -243,6 +243,15 @@ def test_table_build_peak_is_the_odd_sieve_and_one_primes_array():
     assert peak <= cap, (peak, cap)
 
 
+def test_table_arrays_are_read_only():
+    # construct keeps views of the primes, and every reader shares the lpf array
+    t = build_prime_table(100)
+    for arr in (t.primes, t.largest_factor_array()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[2] = 4
+    assert t.primes[2] == 5 and t.largest_factor_array()[2] == 2
+
+
 @pytest.mark.parametrize(
     "n,expected",
     [(70, ((2, 1), (5, 1), (7, 1))), (64, ((2, 6),)), (97, ((97, 1),))],

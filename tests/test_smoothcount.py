@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 import random
 import tracemalloc
@@ -26,7 +27,7 @@ from lgsieve import (
 from lgsieve.powers import largest_int_below_pow, real_pow
 from lgsieve.primes import build_prime_table, largest_prime_factor
 from lgsieve import ResourceLimitError, primes, smoothcount
-from lgsieve.cli import _make_weights
+from lgsieve.cli import _make_weights, main
 from lgsieve.discrepancy import distinct_ints
 from lgsieve.smoothcount import residue_convolution_identity_ok
 from lg_samples import random_lg_set, upper_half_set
@@ -240,6 +241,23 @@ def test_sieve_report_zero_weights(set100, table1k):
     part = partition(set100, 0.6, table1k)
     rep = sieve_report(WeightedSet(np.zeros(101)), part, 0.2)
     assert (rep.sigma, rep.lhs1, rep.lhs2, rep.tau, rep.smooth_total) == (0.0,) * 5
+
+
+def test_hypotheses_hold_while_the_conclusion_fails(tmp_path):
+    # both hypotheses give only -gamma sum1 < S/sigma - sum1 < eps' + gamma sum2,
+    # which is inside the 2 gamma band only for gamma >= eps' / (2 - sum2)
+    out = tmp_path / "t2.json"
+    argv = ["theorem2", "--x", "100000", "--delta", "0.05", "--theta", "0.5",
+            "--gamma", "0.1", "--weights", "uniform", "--out", str(out)]
+    assert main(argv) == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["hyp1_holds"] and rep["hyp2_holds"] and not rep["conclusion_holds"]
+    assert rep["sigma"] == 100_000 and rep["smooth_total"] == 35_819
+    assert rep["center"] == pytest.approx(14_382.76, abs=0.01) and rep["bound"] == 20_000
+    sum1, sum2, gamma = rep["sum1"], rep["sum2"], 0.1
+    eps = 1.0 - sum1 - sum2
+    assert gamma < eps / (2.0 - sum2)
+    assert -gamma * sum1 < rep["smooth_total"] / rep["sigma"] - sum1 < eps + gamma * sum2
 
 
 def test_sieve_report_bound_mismatch(set100, table1k):
