@@ -309,23 +309,25 @@ def _cmd_sumset(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    """One row per theta in (delta, 1]; grid points outside are skipped.
-    The weights are built once; each theta costs a partition, a sieve
-    report and one rho lookup."""
+    """One row per theta in (delta, 1]; grid points outside are skipped,
+    and a grid with no point inside exits 2 before the weights are
+    built.  The weights are built once, and the rows come from
+    ``smoothcount.theta_reports``, the per-theta step ``sumset`` runs."""
     s, table, A, B = _sumset_setup(args)
     p = s.params
+    parts = [smoothcount.partition(s, t, table) for t in args.theta if p.delta < t <= 1]
+    if not parts:
+        raise ValueError(
+            f"theta grid {args.theta[0]!r}..{args.theta[-1]!r} has no point in ({p.delta}, 1]"
+        )
     ws = smoothcount.sumset_weights(A, B, p.x)
-    thetas = [t for t in args.theta if p.delta < t <= 1]
-    dt = dickman.build_dickman_table(max_u=1.0 / min(thetas, default=1.0) + 1)
     lines = [SWEEP_CSV_HEADER]
-    for theta in thetas:
-        part = smoothcount.partition(s, theta, table)
-        rep = smoothcount.sieve_report(ws, part, args.gamma)
+    for part, (rep, rho) in zip(parts, smoothcount.theta_reports(ws, parts, args.gamma)):
         smooth_count = int(rep.smooth_total)
         lines.append(
-            f"{p.x},{p.delta!r},{p.c!r},{theta!r},{args.gamma!r},"
+            f"{p.x},{p.delta!r},{p.c!r},{part.theta!r},{args.gamma!r},"
             f"{len(A)},{len(B)},{args.seed},{smooth_count},"
-            f"{rep.center!r},{dickman.rho(1.0 / theta, dt)!r},"
+            f"{rep.center!r},{rho!r},"
             f"{smooth_count - rep.center!r},"
             f"{rep.hyp1_holds},{rep.hyp2_holds},{rep.conclusion_holds}"
         )

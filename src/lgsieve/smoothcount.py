@@ -30,6 +30,7 @@ from .primes import INT32_MAX, PrimeTable, _exact_sum, _int_in_range, check_arra
 
 @dataclass
 class SmoothPartition:
+    theta: float
     y: float  # x^theta, the smoothness bound
     n1: np.ndarray  # int32, the x^theta-smooth members below x^c
     n2: np.ndarray  # int32, the rest below x^c
@@ -95,17 +96,19 @@ def partition(lgset: LGSet, theta: float, table: PrimeTable) -> SmoothPartition:
     smooth = table.largest_factor_array()[small] <= y
     n1, n2 = small[smooth], small[~smooth]
     sum1, sum2 = _exact_sum(1.0 / n1), _exact_sum(1.0 / n2)
-    return SmoothPartition(y=y, n1=n1, n2=n2, sum1=sum1, sum2=sum2, lgset=lgset, table=table)
+    return SmoothPartition(theta, y, n1, n2, sum1, sum2, lgset, table)
 
 
 def sieve_report(weights: WeightedSet, part: SmoothPartition, gamma: float) -> SieveReport:
     """Implication tester for the smooth sieve: evaluates both
-    hypotheses, the conclusion inequality, and the unconditional
-    sandwich lhs1 <= smooth_total <= sigma - tau; raises ValueError
-    on a set that is not LG.  The set, its divisor map and the prime
-    table are the ones the partition was cut from.  lhs1 <= smooth_total
-    needs every k <= x // min(N1) to be y-smooth, as on a constructed set
-    (x // q < lpf(q) for its members q); a set that breaks it raises ValueError."""
+    hypotheses and the conclusion inequality; raises ValueError on a set
+    that is not LG.  The set, its divisor map and the prime table are
+    the ones the partition was cut from.  The squeeze lhs1 <=
+    smooth_total <= sigma - tau is checked per m, with no slack: every m
+    of class 1 must be y-smooth and none of class 2, else RuntimeError.
+    Class 1 needs every k <= x // min(N1) to be y-smooth, as on a
+    constructed set (x // q < lpf(q) for its members q); a set that
+    breaks it raises ValueError first."""
     if not 0 < gamma < 1:
         raise ValueError(f"gamma out of (0,1): {gamma}")
     x = part.lgset.params.x
@@ -123,22 +126,20 @@ def sieve_report(weights: WeightedSet, part: SmoothPartition, gamma: float) -> S
     cls[part.n1] = 1
     cls[part.n2] = 2
     code = cls[part.lgset.divisor_map()]
+    smooth = lpf[: x + 1] <= part.y
+    bad = np.flatnonzero(np.where(smooth, code == 2, code == 1))  # smooth in N2 or rough in N1
+    if bad.size:
+        m = bad[0]
+        raise RuntimeError(f"sandwich violated: m = {m} of class {code[m]} has lpf {lpf[m]}")
     lhs1 = _exact_sum(arr[code == 1])
     lhs2 = tau = _exact_sum(arr[code == 2])
     hyp1 = lhs1 > (1.0 - gamma) * sigma * part.sum1
     hyp2 = lhs2 > (1.0 - gamma) * sigma * part.sum2
-    smooth_total = _exact_sum(arr[lpf[: x + 1] <= part.y])
+    smooth_total = _exact_sum(arr[smooth])
 
     center = sigma * part.sum1
     bound = 2.0 * gamma * sigma
     lower_bound = (1.0 - gamma) * sigma * part.sum1
-
-    tol = 1e-9 * (sigma + 1.0)
-    if not (lhs1 <= smooth_total + tol and smooth_total <= sigma - tau + tol):
-        raise RuntimeError(
-            "sandwich violated: lhs1=%r smooth_total=%r sigma-tau=%r"
-            % (lhs1, smooth_total, sigma - tau)
-        )
 
     return SieveReport(
         sigma=sigma,
@@ -156,6 +157,14 @@ def sieve_report(weights: WeightedSet, part: SmoothPartition, gamma: float) -> S
         conclusion_holds=abs(smooth_total - center) < bound,
         lower_bound_holds=smooth_total > lower_bound,
     )
+
+
+def theta_reports(weights: WeightedSet, parts, gamma: float) -> list:
+    """(sieve_report, rho(1/theta)) per partition, the per-theta step of
+    ``sumset`` and ``sweep``: every rho from one Dickman table sized for
+    the smallest theta, so ``parts`` must not be empty."""
+    table = dickman.build_dickman_table(max_u=1.0 / min(p.theta for p in parts) + 1)
+    return [(sieve_report(weights, p, gamma), dickman.rho(1.0 / p.theta, table)) for p in parts]
 
 
 def sumset_weights(A, B, x: int) -> WeightedSet:
@@ -213,14 +222,15 @@ def _exact_sum_counts(A, B) -> np.ndarray:
 def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli, lgset: LGSet) -> bool:
     """Check, in exact integer arithmetic, that for every modulus q the
     weight mass on multiples of q equals #{(a, b) : q | a + b}; the
-    right side never reads the weights.
+    pair-sum counts never read the weights.
 
     The weights must be integers on the set's bound x, A and B must lie
     in [1, x] with max(A) + max(B) <= x, the set must be LG and the
-    moduli its members, else ValueError.  Both sides are
-    ``lgset.multiple_sums``: of the weights, and of the pair-sum counts
-    c[n] = #{(a, b) : a + b = n} from one exact product of decimal
-    integers (``_exact_sum_counts``), in integers only.
+    moduli its members, else ValueError.  The pair-sum counts
+    c[n] = #{(a, b) : a + b = n} come from one exact product of decimal
+    integers (``_exact_sum_counts``), and one ``lgset.multiple_sums`` of
+    w - c must be zero at every modulus.  w and c are nonnegative and
+    each totals at most 2^63 - 1, so no int64 partial sum of w - c wraps.
     """
     x = lgset.params.x
     if weights.x != x:
@@ -228,10 +238,12 @@ def residue_convolution_identity_ok(weights: WeightedSet, A, B, moduli, lgset: L
     Aa, Bb = distinct_ints(A, x, "A"), distinct_ints(B, x, "B")
     if Aa.size and Bb.size and int(Aa[-1]) + int(Bb[-1]) > x:
         raise ValueError(f"sums exceed x = {x}")
-    lhs = lgset.multiple_sums(weights.array, moduli)  # checks the moduli first
     counts = _exact_sum_counts(Aa, Bb)
-    rhs = lgset.multiple_sums(np.pad(counts, (0, x + 1 - counts.size)), moduli)
-    return np.array_equal(lhs, rhs)
+    # int64 for integer weights; float or uint64 weights stay non-integer,
+    # and multiple_sums rejects them
+    diff = weights.array.astype(np.result_type(weights.array, np.int64))
+    diff[: counts.size] -= counts
+    return not lgset.multiple_sums(diff, moduli).any()
 
 
 def theorem3_experiment(
@@ -257,12 +269,9 @@ def theorem3_experiment(
     ws = sumset_weights(A, B, x)
     cov = coverage(lgset, cutoff, table)
     eps_working = cov.epsilon_prime / 2.0
-    rep = sieve_report(ws, part, gamma)
+    ((rep, rho_theta),) = theta_reports(ws, [part], gamma)
 
     direct = int(rep.smooth_total)
-
-    dickman_table = dickman.build_dickman_table(max_u=1.0 / theta + 1)
-    rho_theta = dickman.rho(1.0 / theta, dickman_table)
     sigma = rep.sigma
     fraction = direct / sigma if sigma else 0.0
 

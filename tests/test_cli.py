@@ -263,6 +263,9 @@ def test_epsilon_defaults_to_one_fifth(capsys):
         (["coverage", "--x", "100", "--delta", "0.2", "--c", "0.2"], "need 0 < delta < c <= 1"),
         (["dickman", "--max-u", "inf"], "max_u must be >= 1 and finite, got inf"),
         (["dickman", "--max-u", "nan"], "max_u must be >= 1 and finite, got nan"),
+        # a grid with no point in (delta, 1] fails before the weights are built
+        (["sweep", "--x", "1000", "--delta", "0.1", "--theta", "0.05:0.05:0.1", "--gamma", "0.2",
+          "--size-a", "10", "--size-b", "10"], "theta grid 0.05..0.1 has no point in (0.1, 1]"),
     ],
 )
 def test_range_errors_exit_2(capsys, argv, message):

@@ -372,6 +372,31 @@ def test_sieve_report_rejects_a_rough_multiple_of_a_smooth_member(table10k, x, t
         assert rep.lhs1 <= rep.smooth_total <= rep.sigma - rep.tau
 
 
+@pytest.mark.parametrize(
+    "m, lpf_m, cls",
+    [
+        (1102, 9973, 1),  # 2 * 551, past the premise's scan k <= 18, made y-rough
+        (202, 2, 2),  # 2 * 101, with 101 in N2, made y-smooth
+    ],
+)
+def test_sieve_report_checks_the_squeeze_per_m(table10k, m, lpf_m, cls):
+    # a table that misplaces one m breaks lhs1 <= smooth_total <= sigma - tau
+    # by one unit of weight, which a slack of 1e-9 sigma would hide
+    x = 10**4
+    part = partition(with_cutoff(construct(LGParams(x, 0.1), table10k), 0.9), 0.5, table10k)
+    assert x // int(part.n1[0]) == 18 and 101 in part.n2
+    lpf = table10k.largest_factor_array().copy()
+    lpf[m] = lpf_m
+    doctored = primes.PrimeTable(table10k.limit, table10k.primes.copy())
+    doctored._largest_factor = lpf
+    part.table = doctored
+    w = np.zeros(x + 1, dtype=np.int64)
+    w[m] = 1
+    w[101] = 10**12
+    with pytest.raises(RuntimeError, match=f"sandwich violated: m = {m} of class {cls} "):
+        sieve_report(WeightedSet(w), part, 0.2)
+
+
 def test_sumset_trivial():
     ws = sumset_weights([1], [1], 100)
     assert ws.sigma == 1.0
@@ -414,22 +439,30 @@ def test_residue_convolution_identity(set100, A, B):
 @pytest.mark.parametrize("seed", range(3))
 def test_residue_convolution_identity_detects_moved_weight(table1k, seed):
     """The check is not vacuous: moving one unit of weight off a
-    multiple n of a member modulus q to n + 1 makes it fail."""
+    multiple n of a member modulus q to n + 1 makes it fail.  It runs
+    again with m = 1, which no member divides, weighted up to a total
+    of 2^63 - 1, where w - c and its sums must not wrap."""
     rng = random.Random(seed)
     x = 1000
     lg = construct(LGParams(x, 0.2), table1k)
     A, B = rng.sample(range(1, 501), 40), rng.sample(range(1, 501), 40)
     ws = sumset_weights(A, B, x)
     moduli = lg.members
-    assert residue_convolution_identity_ok(ws, A, B, moduli, lg)
     q = rng.choice([q for q in moduli if np.any(ws.array[q:x:q])])
     n = next(int(m) for m in np.flatnonzero(ws.array) if m % q == 0 and m < x)
-    arr = ws.array.copy()
-    arr[n] -= 1
-    arr[n + 1] += 1
-    moved = WeightedSet(arr)
-    assert moved.sigma == ws.sigma
-    assert not residue_convolution_identity_ok(moved, A, B, moduli, lg)
+    heavy = ws.array.copy()
+    heavy[1] = np.iinfo(np.int64).max - int(heavy.sum())
+    assert heavy.sum(dtype=object) == 2**63 - 1
+    counts = smoothcount._exact_sum_counts(np.array(sorted(A)), np.array(sorted(B)))
+    for w in (ws.array, heavy):
+        assert residue_convolution_identity_ok(WeightedSet(w), A, B, moduli, lg)
+        diff = w.copy()
+        diff[: counts.size] -= counts
+        assert diff[1] == w[1] and diff.min() >= -40  # no count exceeds |A| = 40
+        assert not lg.multiple_sums(diff, moduli).any()
+        moved = _moved_unit(WeightedSet(w), n)
+        assert moved.sigma == WeightedSet(w).sigma
+        assert not residue_convolution_identity_ok(moved, A, B, moduli, lg)
 
 
 def residue_identity_oracle(ws, A, B, moduli):
@@ -522,6 +555,19 @@ def test_residue_identity_rejects_a_set_that_is_not_lg():
     ws = sumset_weights([1, 2], [3], 100)
     with pytest.raises(ValueError, match="not LG"):
         residue_convolution_identity_ok(ws, [1, 2], [3], [11], s)
+
+
+def test_residue_identity_takes_integer_weights_only(set100):
+    # w - c keeps a float or uint64 w's dtype, which multiple_sums rejects;
+    # bool and narrow integer weights are widened to int64
+    w = sumset_weights([1, 2], [3], 100).array
+    for dtype in (np.float64, np.uint64):
+        ws = WeightedSet(w.astype(dtype))
+        with pytest.raises(ValueError, match="weights must be an integer array"):
+            residue_convolution_identity_ok(ws, [1, 2], [3], [11], set100)
+    for dtype in (np.bool_, np.int8, np.uint32):
+        ws = WeightedSet(w.astype(dtype))
+        assert residue_convolution_identity_ok(ws, [1, 2], [3], [11], set100)
 
 
 def sumset_oracle(A, B, x):

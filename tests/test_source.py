@@ -220,6 +220,29 @@ def test_multiple_sums_come_from_the_divisor_map(module, func):
     assert _stepped_slices(module, func) == []
 
 
+@pytest.mark.parametrize(
+    "module, func", [("cli.py", "_cmd_sweep"), ("smoothcount.py", "theorem3_experiment")]
+)
+def test_sweep_and_sumset_share_one_theta_step(module, func):
+    # partition -> sieve_report -> rho(1/theta) has one owner, theta_reports;
+    # neither caller builds a report or sizes a Dickman table itself
+    node = _functions(module)[func]
+    called = {
+        getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+    }
+    assert {"partition", "theta_reports"} <= called
+    assert not called & {"sieve_report", "build_dickman_table", "rho"}
+
+
+def test_residue_identity_sums_w_minus_c_once():
+    # one multiple_sums of the weights less the pair-sum counts, no padded copy
+    func = _functions("smoothcount.py")["residue_convolution_identity_ok"]
+    assert _calls_of(func, "multiple_sums") == ["residue_convolution_identity_ok"]
+    assert _calls_of(func, "pad") == []
+
+
 def test_lgset_owns_the_sums_over_member_multiples():
     # one np.add.at over the divisor map, and no other definition of it
     tree = ast.parse((SRC / "lgset.py").read_text())
